@@ -29,7 +29,7 @@ DrainAdversary::replaying(DecisionLog log)
 
 Tick
 DrainAdversary::consider(EventQueue &eq, FuzzSite site, CoreId core,
-                         const std::function<void()> &retry)
+                         const EventQueue::Callback &retry)
 {
     ++totalQueries;
     std::uint64_t query =

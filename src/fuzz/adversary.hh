@@ -81,7 +81,7 @@ class DrainAdversary
      * the adversary sees and break decision-log replay.
      */
     Tick consider(EventQueue &eq, FuzzSite site, CoreId core,
-                  const std::function<void()> &retry);
+                  const EventQueue::Callback &retry);
 
     /**
      * Consult the adversary at a media-fault opportunity (@p site

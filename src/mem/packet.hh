@@ -156,7 +156,7 @@ struct MemResponse
     std::uint64_t token = 0;
     /** Flush Done only: the flush found dirty data and wrote PM. */
     bool wrotePm = false;
-    PacketPtr pkt;
+    PacketPtr pkt = nullptr;
 };
 
 } // namespace strand

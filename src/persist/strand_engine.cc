@@ -1,7 +1,5 @@
 #include "persist/strand_engine.hh"
 
-#include <vector>
-
 #include "fuzz/adversary.hh"
 
 namespace strand
@@ -133,40 +131,19 @@ StrandEngine::dispatch(const Op &op, SeqNum seq, SeqNum elderStoreSeq)
 bool
 StrandEngine::storeMayIssue(SeqNum seq) const
 {
-    // For each older CLWB, note whether a persist barrier separates
-    // it from this store *within the same strand*: such a CLWB must
-    // have performed its cache read before the store may drain (else
-    // the flush could capture post-barrier data). A NewStrand clears
-    // the constraint (Eq. 1), so barriers do not gate stores of
-    // later strands.
-    std::vector<bool> barrierBetween(queue.size(), false);
-    {
-        bool seen = false;
-        for (std::size_t i = queue.size(); i-- > 0;) {
-            if (queue[i].seq >= seq)
-                continue;
-            barrierBetween[i] = seen;
-            if (queue[i].type == OpType::PersistBarrier)
-                seen = true;
-            else if ((params.epochInterlock ||
-                      params.strictAdmission) &&
-                     queue[i].type == OpType::Ofence)
-                // The delegated ofence normally orders nothing on the
-                // CPU side; under the epoch interlock it gates stores
-                // from overwriting lines of pre-ofence CLWBs that
-                // have not read the cache yet, exactly as a persist
-                // barrier does.
-                seen = true;
-            else if (queue[i].type == OpType::NewStrand)
-                seen = false;
-        }
-    }
-    std::size_t idx = static_cast<std::size_t>(-1);
-    for (const Entry &entry : queue) {
-        ++idx;
-        bool barrierSince = barrierBetween[idx];
+    // One youngest-first pass. @c barrierSince tracks whether a
+    // persist barrier separates the entry under inspection from this
+    // store *within the same strand*: such an older CLWB must have
+    // performed its cache read before the store may drain (else the
+    // flush could capture post-barrier data). A NewStrand clears the
+    // constraint (Eq. 1), so barriers do not gate stores of later
+    // strands. The verdict is a conjunction over the older entries,
+    // so the scan order does not change it.
+    bool barrierSince = false;
+    for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
+        const Entry &entry = *it;
         if (entry.seq >= seq)
-            break;
+            continue;
         switch (entry.type) {
           case OpType::Clwb:
             // NO-PERSIST-QUEUE head-of-line blocking (§VI-A): the
@@ -200,9 +177,20 @@ StrandEngine::storeMayIssue(SeqNum seq) const
             // has *issued*, not completed.
             if (params.pbGatesStores && !entry.issued)
                 return false;
+            barrierSince = true;
             break;
           case OpType::Ofence:
-            break; // fully delegated
+            // The delegated ofence normally orders nothing on the
+            // CPU side; under the epoch interlock it gates stores
+            // from overwriting lines of pre-ofence CLWBs that have
+            // not read the cache yet, exactly as a persist barrier
+            // does.
+            if (params.epochInterlock || params.strictAdmission)
+                barrierSince = true;
+            break;
+          case OpType::NewStrand:
+            barrierSince = false;
+            break;
           case OpType::JoinStrand:
             if (!entry.completed)
                 return false;

@@ -6,6 +6,14 @@
 namespace strand
 {
 
+namespace
+{
+
+/** Children per heap node; shallower than binary, same pop order. */
+constexpr std::size_t heapArity = 4;
+
+} // namespace
+
 EventQueue::Record *
 EventQueue::allocRecord()
 {
@@ -28,13 +36,67 @@ EventQueue::releaseRecord(Record *rec)
 }
 
 void
+EventQueue::heapPush(const HeapEntry &entry)
+{
+    std::size_t hole = heap.size();
+    heap.push_back(entry);
+    while (hole > 0) {
+        std::size_t parent = (hole - 1) / heapArity;
+        if (!earlier(entry, heap[parent]))
+            break;
+        heap[hole] = heap[parent];
+        hole = parent;
+    }
+    heap[hole] = entry;
+}
+
+void
+EventQueue::heapPop()
+{
+    HeapEntry last = heap.back();
+    heap.pop_back();
+    const std::size_t size = heap.size();
+    if (size == 0)
+        return;
+    // Sift the old last entry down from the root, moving the earliest
+    // of up to heapArity children into the hole at each level.
+    std::size_t hole = 0;
+    for (;;) {
+        std::size_t first = heapArity * hole + 1;
+        if (first >= size)
+            break;
+        std::size_t best = first;
+        std::size_t end = std::min(first + heapArity, size);
+        for (std::size_t c = first + 1; c < end; ++c) {
+            if (earlier(heap[c], heap[best]))
+                best = c;
+        }
+        if (!earlier(heap[best], last))
+            break;
+        heap[hole] = heap[best];
+        hole = best;
+    }
+    heap[hole] = last;
+}
+
+void
+EventQueue::heapify()
+{
+    // A sorted array is a valid d-ary heap; compaction and restore
+    // are rare enough that the simplest rebuild wins.
+    std::sort(heap.begin(), heap.end(), earlier);
+}
+
+void
 EventQueue::armRecord(Record *rec, Tick when)
 {
+    panicIf(nextSeq > seqMask,
+            "event sequence number overflows its {}-bit key field",
+            seqBits);
     rec->when = when;
     rec->seq = nextSeq++;
     rec->state = State::Scheduled;
-    heap.push_back({when, rec->priority, rec->seq, rec});
-    std::push_heap(heap.begin(), heap.end(), Later{});
+    heapPush(entryOf(*rec));
     ++liveEvents;
 }
 
@@ -52,9 +114,9 @@ EventQueue::maybeCompact()
                                   return !live(entry);
                               }),
                heap.end());
-    // The comparator is a strict total order (seq is unique), so
-    // rebuilding the heap cannot change the pop sequence.
-    std::make_heap(heap.begin(), heap.end(), Later{});
+    // The key is a strict total order (seq is unique), so rebuilding
+    // the heap cannot change the pop sequence.
+    heapify();
     ++compactionRuns;
 }
 
@@ -88,10 +150,8 @@ EventQueue::deschedule(Handle &handle)
 Tick
 EventQueue::nextLiveTick()
 {
-    while (!heap.empty() && !live(heap.front())) {
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        heap.pop_back();
-    }
+    while (!heap.empty() && !live(heap.front()))
+        heapPop();
     return heap.empty() ? maxTick : heap.front().when;
 }
 
@@ -100,8 +160,7 @@ EventQueue::serviceOne()
 {
     while (!heap.empty()) {
         HeapEntry top = heap.front();
-        std::pop_heap(heap.begin(), heap.end(), Later{});
-        heap.pop_back();
+        heapPop();
         if (!live(top))
             continue;
 
@@ -141,8 +200,7 @@ EventQueue::runUntil(Tick limit)
     while (!heap.empty()) {
         // Skip cancelled carcasses without advancing time.
         if (!live(heap.front())) {
-            std::pop_heap(heap.begin(), heap.end(), Later{});
-            heap.pop_back();
+            heapPop();
             continue;
         }
         if (heap.front().when > limit)
@@ -223,7 +281,7 @@ EventQueue::restore(const Snapshot &snap)
         if (!state.recurring)
             rec.callback = state.callback;
         if (rec.state == State::Scheduled)
-            heap.push_back({rec.when, rec.priority, rec.seq, &rec});
+            heap.push_back(entryOf(rec));
     }
     freeList.clear();
     for (std::size_t index : snap.freeList)
@@ -243,9 +301,9 @@ EventQueue::restore(const Snapshot &snap)
         rec.callback = nullptr;
         freeList.push_back(&rec);
     }
-    // The comparator is a strict total order (seq is unique), so the
-    // rebuilt heap pops in exactly the captured dispatch order.
-    std::make_heap(heap.begin(), heap.end(), Later{});
+    // The key is a strict total order (seq is unique), so the rebuilt
+    // heap pops in exactly the captured dispatch order.
+    heapify();
     panicIf(heap.size() != static_cast<std::size_t>(liveEvents),
             "snapshot live-event count does not match its records");
 }

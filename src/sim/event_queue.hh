@@ -10,13 +10,16 @@
  * Performance model: event records live in a free-list arena owned by
  * the queue, so the steady state of a simulation — cores rescheduling
  * their tick every cycle, memory controllers completing requests —
- * allocates nothing per event. The dispatch heap stores (tick,
- * priority, seq) keys by value; a record's current seq is the source
- * of truth, so cancelled or superseded heap entries are recognized as
- * carcasses when popped and lazy compaction bounds how many carcasses
- * a cancel-heavy workload (e.g. the fuzz adversary's holds) can
- * accumulate. Because the comparator is a total order (seq is
- * unique), compaction never changes dispatch order.
+ * allocates nothing per event. Callbacks are stored inline in the
+ * record (up to Callback::inlineBytes of capture), so the closures
+ * the port legs schedule do not allocate either. The dispatch heap is
+ * a 4-ary min-heap of (tick, priority << 56 | seq) keys stored by
+ * value; a record's current seq is the source of truth, so cancelled
+ * or superseded heap entries are recognized as carcasses when popped
+ * and lazy compaction bounds how many carcasses a cancel-heavy
+ * workload (e.g. the fuzz adversary's holds) can accumulate. Because
+ * the key is a strict total order (seq is unique), neither the heap
+ * arity nor compaction can change dispatch order.
  *
  * Components with a permanent periodic callback should use Recurring:
  * one record, allocated at init() and reused for every firing, with
@@ -26,9 +29,13 @@
 #ifndef SIM_EVENT_QUEUE_HH
 #define SIM_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
@@ -59,7 +66,164 @@ enum class EventPriority : int
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /**
+     * A copyable, type-erased void() callable. Callables of up to
+     * inlineBytes (and at most max_align_t alignment) live inside the
+     * object itself, so scheduling one never touches the allocator;
+     * larger ones fall back to a heap copy. Copies are deep, which is
+     * what snapshot capture relies on.
+     */
+    class Callback
+    {
+      public:
+        static constexpr std::size_t inlineBytes = 64;
+
+        Callback() = default;
+
+        template <typename F,
+                  typename D = std::decay_t<F>,
+                  typename = std::enable_if_t<
+                      !std::is_same_v<D, Callback> &&
+                      std::is_invocable_r_v<void, D &>>>
+        Callback(F &&f)
+        {
+            if constexpr (std::is_pointer_v<D> ||
+                          std::is_same_v<D, std::function<void()>>) {
+                if (!f)
+                    return;
+            }
+            if constexpr (fitsInline<D>()) {
+                ::new (static_cast<void *>(buf)) D(std::forward<F>(f));
+            } else {
+                ::new (static_cast<void *>(buf))
+                    D *(new D(std::forward<F>(f)));
+            }
+            ops = &opsFor<D>;
+        }
+
+        Callback(const Callback &other)
+        {
+            // Set ops only once the copy exists: a throwing heap copy
+            // must leave nothing for the destructor to destroy.
+            if (other.ops) {
+                other.ops->copy(buf, other.buf);
+                ops = other.ops;
+            }
+        }
+
+        Callback(Callback &&other) noexcept : ops(other.ops)
+        {
+            if (ops) {
+                ops->move(buf, other.buf);
+                other.ops = nullptr;
+            }
+        }
+
+        Callback &
+        operator=(const Callback &other)
+        {
+            if (this != &other) {
+                Callback copy(other);
+                *this = std::move(copy);
+            }
+            return *this;
+        }
+
+        Callback &
+        operator=(Callback &&other) noexcept
+        {
+            if (this != &other) {
+                reset();
+                ops = other.ops;
+                if (ops) {
+                    ops->move(buf, other.buf);
+                    other.ops = nullptr;
+                }
+            }
+            return *this;
+        }
+
+        Callback &
+        operator=(std::nullptr_t)
+        {
+            reset();
+            return *this;
+        }
+
+        ~Callback() { reset(); }
+
+        explicit operator bool() const { return ops != nullptr; }
+
+        void operator()() { ops->invoke(buf); }
+
+      private:
+        /** Per-type operations; @c move also destroys the source. */
+        struct Ops
+        {
+            void (*invoke)(void *self);
+            void (*copy)(void *dst, const void *src);
+            void (*move)(void *dst, void *src) noexcept;
+            void (*destroy)(void *self) noexcept;
+        };
+
+        template <typename D>
+        static constexpr bool
+        fitsInline()
+        {
+            return sizeof(D) <= inlineBytes &&
+                   alignof(D) <= alignof(std::max_align_t) &&
+                   std::is_nothrow_move_constructible_v<D>;
+        }
+
+        template <typename D>
+        static D *
+        target(void *self)
+        {
+            if constexpr (fitsInline<D>())
+                return std::launder(reinterpret_cast<D *>(self));
+            else
+                return *static_cast<D **>(self);
+        }
+
+        template <typename D>
+        static constexpr Ops opsFor = {
+            [](void *self) { (*target<D>(self))(); },
+            [](void *dst, const void *src) {
+                const D &from = *target<D>(const_cast<void *>(src));
+                if constexpr (fitsInline<D>())
+                    ::new (dst) D(from);
+                else
+                    ::new (dst) D *(new D(from));
+            },
+            [](void *dst, void *src) noexcept {
+                if constexpr (fitsInline<D>()) {
+                    D *from = target<D>(src);
+                    ::new (dst) D(std::move(*from));
+                    from->~D();
+                } else {
+                    ::new (dst) D *(*static_cast<D **>(src));
+                }
+            },
+            [](void *self) noexcept {
+                if constexpr (fitsInline<D>())
+                    target<D>(self)->~D();
+                else
+                    delete target<D>(self);
+            },
+        };
+
+        void
+        reset()
+        {
+            if (ops) {
+                ops->destroy(buf);
+                ops = nullptr;
+            }
+        }
+
+        alignas(std::max_align_t) unsigned char buf[inlineBytes];
+        const Ops *ops = nullptr;
+    };
 
     class Recurring;
 
@@ -324,39 +488,57 @@ class EventQueue
     using Record = Handle::Record;
     using State = Handle::State;
 
+    /** Bits of the packed key that hold seq; priority sits above. */
+    static constexpr unsigned seqBits = 56;
+    static constexpr std::uint64_t seqMask =
+        (std::uint64_t(1) << seqBits) - 1;
+
     /**
-     * Dispatch key, copied out of the record at arm time. The record
-     * holds the authoritative (seq, state); an entry whose key no
-     * longer matches is a carcass and never fires.
+     * Dispatch key, copied out of the record at arm time. @c key packs
+     * (priority, seq) so that (when, key) compares exactly like the
+     * (when, priority, seq) triple. The record holds the
+     * authoritative (seq, state); an entry whose seq no longer
+     * matches is a carcass and never fires.
      */
     struct HeapEntry
     {
         Tick when = 0;
-        int priority = 0;
-        std::uint64_t seq = 0;
+        std::uint64_t key = 0;
         Record *rec = nullptr;
+
+        std::uint64_t seq() const { return key & seqMask; }
     };
 
-    /** Max-heap comparator inverted so the earliest key pops first. */
-    struct Later
+    /** The heap entry for @p rec's current (when, priority, seq). */
+    static HeapEntry
+    entryOf(Record &rec)
     {
-        bool
-        operator()(const HeapEntry &a, const HeapEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            if (a.priority != b.priority)
-                return a.priority > b.priority;
-            return a.seq > b.seq;
-        }
-    };
+        return {rec.when,
+                (static_cast<std::uint64_t>(rec.priority) << seqBits) |
+                    rec.seq,
+                &rec};
+    }
+
+    /** Strict total order: the entry that must fire first is less. */
+    static bool
+    earlier(const HeapEntry &a, const HeapEntry &b)
+    {
+        return a.when != b.when ? a.when < b.when : a.key < b.key;
+    }
 
     static bool
     live(const HeapEntry &entry)
     {
         return entry.rec->state == State::Scheduled &&
-               entry.rec->seq == entry.seq;
+               entry.rec->seq == entry.seq();
     }
+
+    /** Insert @p entry into the 4-ary heap. */
+    void heapPush(const HeapEntry &entry);
+    /** Remove the heap's front (earliest) entry. */
+    void heapPop();
+    /** Restore the heap property over arbitrary contents. */
+    void heapify();
 
     Record *allocRecord();
     void releaseRecord(Record *rec);

@@ -81,7 +81,8 @@ Histogram::reset()
 }
 
 StatGroup::StatGroup(std::string name, StatGroup *parent)
-    : name(std::move(name)), parent(parent)
+    : name(std::move(name)), parent(parent),
+      path(parent ? parent->fullName() + "." + this->name : this->name)
 {
     if (parent)
         parent->addChild(this);
@@ -131,12 +132,6 @@ StatGroup::visitStats(
         visitor(full + stat->name(), *stat);
     for (const StatGroup *child : childList)
         child->visitStats(visitor, full);
-}
-
-std::string
-StatGroup::fullName() const
-{
-    return parent ? parent->fullName() + "." + name : name;
 }
 
 StatGroup::StatValues

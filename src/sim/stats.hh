@@ -214,8 +214,12 @@ class StatGroup
 
     const std::string &groupName() const { return name; }
 
-    /** Full dotted path of this group ("system.cpu0.engine"). */
-    std::string fullName() const;
+    /**
+     * Full dotted path of this group ("system.cpu0.engine"). A group's
+     * name and parent are fixed at construction, so the path is
+     * computed once there.
+     */
+    const std::string &fullName() const { return path; }
 
     /** Dump this group and all children. */
     void printStats(std::ostream &os, const std::string &prefix = "") const;
@@ -255,6 +259,7 @@ class StatGroup
 
     std::string name;
     StatGroup *parent;
+    std::string path;
     std::vector<StatBase *> statList;
     std::vector<StatGroup *> childList;
 };

@@ -361,6 +361,73 @@ TEST_F(EngineFixture, IntelMapsStrongPrimitivesToSfence)
     EXPECT_TRUE(engine->drained());
 }
 
+// Store gating is one youngest-first pass over the persist queue;
+// these pin down the cases that pass must keep.
+
+TEST_F(EngineFixture, SwBarrierInLaterStrandDoesNotGateOnEarlierClwb)
+{
+    // CLWB A, NewStrand, barrier: the barrier orders only its own
+    // strand, so a younger store need not wait for A's cache read.
+    build(HwDesign::StrandWeaver);
+    dirty(lineA, 1);
+    dispatch(Op::clwb(lineA), 10);
+    dispatch(Op::newStrand(), 11);
+    dispatch(Op::persistBarrier(), 12);
+    engine->evaluate();
+    EXPECT_TRUE(engine->storeMayIssue(13));
+    pump();
+}
+
+TEST_F(EngineFixture, SwBarrierInClwbStrandGatesAcrossNewStrand)
+{
+    // CLWB A, barrier, NewStrand: A is followed by a barrier in its
+    // own strand, so younger stores wait for A's cache read even
+    // after the NewStrand.
+    build(HwDesign::StrandWeaver);
+    dirty(lineA, 1);
+    dispatch(Op::clwb(lineA), 10);
+    dispatch(Op::persistBarrier(), 11);
+    dispatch(Op::newStrand(), 12);
+    engine->evaluate();
+    EXPECT_FALSE(engine->storeMayIssue(13));
+    eq.runUntil(eq.curTick() + nsToTicks(5));
+    engine->evaluate();
+    EXPECT_TRUE(engine->storeMayIssue(13));
+    pump();
+}
+
+TEST_F(EngineFixture, StoreGatingIgnoresEntriesAtOrAfterTheStore)
+{
+    // Unissued barrier and incomplete JoinStrand gate stores younger
+    // than them, never the store they follow in program order.
+    build(HwDesign::StrandWeaver);
+    dirty(lineA, 1);
+    dispatch(Op::clwb(lineA), 10);
+    dispatch(Op::persistBarrier(), 11);
+    dispatch(Op::joinStrand(), 12);
+    EXPECT_TRUE(engine->storeMayIssue(9));
+    EXPECT_TRUE(engine->storeMayIssue(11));
+    EXPECT_FALSE(engine->storeMayIssue(12)); // the unissued barrier
+    EXPECT_FALSE(engine->storeMayIssue(13));
+    pump();
+    EXPECT_TRUE(engine->storeMayIssue(13));
+}
+
+TEST_F(EngineFixture, SwOlderIncompleteJoinStrandBlocksAcrossNewStrand)
+{
+    // A JoinStrand gates every younger store until it completes; a
+    // NewStrand after it does not lift that.
+    build(HwDesign::StrandWeaver);
+    dirty(lineA, 1);
+    dispatch(Op::clwb(lineA), 10);
+    dispatch(Op::joinStrand(), 11);
+    dispatch(Op::newStrand(), 12);
+    engine->evaluate();
+    EXPECT_FALSE(engine->storeMayIssue(13));
+    pump();
+    EXPECT_TRUE(engine->storeMayIssue(13));
+}
+
 // --- HOPS ------------------------------------------------------------
 
 TEST_F(EngineFixture, HopsOfenceDoesNotGateStores)
@@ -393,6 +460,35 @@ TEST_F(EngineFixture, HopsOfenceOrdersEpochsInPersistBuffer)
     ASSERT_EQ(order.size(), 2u);
     EXPECT_EQ(order[0], lineA);
     EXPECT_EQ(order[1], lineB);
+}
+
+TEST_F(EngineFixture, OfenceGatesStoresOnlyUnderEpochInterlock)
+{
+    // Without the interlock an ofence is fully delegated, even on an
+    // engine whose persist barriers gate stores.
+    build(HwDesign::StrandWeaver);
+    dirty(lineA, 1);
+    dispatch(Op::clwb(lineA), 10);
+    dispatch(Op::ofence(), 11);
+    engine->evaluate();
+    EXPECT_TRUE(engine->storeMayIssue(12));
+    pump();
+
+    // Under the epoch interlock it gates younger stores like a
+    // persist barrier: until the pre-ofence CLWB has read the cache.
+    EngineConfig config;
+    config.hopsEpochInterlock = true;
+    build(HwDesign::Hops, config);
+    dirty(lineA, 1);
+    dispatch(Op::clwb(lineA), 10);
+    dispatch(Op::ofence(), 11);
+    engine->evaluate();
+    EXPECT_FALSE(engine->storeMayIssue(12));
+    eq.runUntil(eq.curTick() + nsToTicks(5));
+    engine->evaluate();
+    EXPECT_TRUE(engine->storeMayIssue(12));
+    EXPECT_FALSE(engine->drained()); // the flush is still in flight
+    pump();
 }
 
 TEST_F(EngineFixture, HopsStrictAdmissionGatesStoresAcrossOfence)

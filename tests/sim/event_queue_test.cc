@@ -1,15 +1,57 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, priorities,
- * cancellation, and time-limited execution.
+ * cancellation, time-limited execution, inline callback storage and
+ * the allocation-free port round trip.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
+#include <map>
+#include <new>
+#include <random>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "mem/port.hh"
 #include "sim/event_queue.hh"
+
+namespace
+{
+
+/** Every global operator new in this binary bumps this counter. */
+std::atomic<std::uint64_t> heapAllocations{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    heapAllocations.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+// Out of line, so the compiler does not pair an inlined free() with
+// an inlined operator new at a call site and warn about a mismatch.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace strand
 {
@@ -408,6 +450,183 @@ TEST(EventQueue, ManyEventsStaySorted)
     }
     eq.run();
     EXPECT_TRUE(monotonic);
+}
+
+TEST(EventQueue, OversizedCallableFiresAndSurvivesRestore)
+{
+    // A capture larger than the inline buffer takes the heap
+    // fallback; it must fire, and a snapshot must deep-copy it.
+    EventQueue eq;
+    std::vector<std::uint64_t> sums;
+    std::array<std::uint64_t, 16> payload{};
+    for (std::size_t i = 0; i < payload.size(); ++i)
+        payload[i] = i + 1;
+    auto big = [&sums, payload] {
+        std::uint64_t sum = 0;
+        for (std::uint64_t v : payload)
+            sum += v;
+        sums.push_back(sum);
+    };
+    static_assert(sizeof(big) > EventQueue::Callback::inlineBytes);
+
+    eq.schedule(10, big);
+    EventQueue::Snapshot snap = eq.snapshot();
+    eq.run();
+    eq.restore(snap);
+    eq.run();
+    EXPECT_EQ(sums, (std::vector<std::uint64_t>{136, 136}));
+}
+
+TEST(EventQueue, CallbackCopiesAreIndependent)
+{
+    int fired = 0;
+    EventQueue::Callback a = [&fired] { ++fired; };
+    EventQueue::Callback b = a;
+    EventQueue::Callback c = std::move(a);
+    EXPECT_FALSE(static_cast<bool>(a));
+    b();
+    c();
+    EXPECT_EQ(fired, 2);
+    c = nullptr;
+    EXPECT_FALSE(static_cast<bool>(c));
+    EXPECT_FALSE(static_cast<bool>(
+        EventQueue::Callback(std::function<void()>())));
+}
+
+TEST(EventQueue, RandomizedOpsMatchSortedReference)
+{
+    // Drive the heap with random schedules, cancellations (enough to
+    // force compactions), snapshot/restore round trips and pops, and
+    // check every pop against a sorted (when, priority, seq)
+    // reference.
+    using Key = std::tuple<Tick, int, std::uint64_t>;
+    const EventPriority prios[] = {
+        EventPriority::MemoryResponse, EventPriority::Default,
+        EventPriority::CpuTick, EventPriority::Stat};
+
+    EventQueue eq;
+    std::mt19937_64 rng(12345);
+    std::vector<std::uint64_t> fired;
+    std::map<Key, EventQueue::Handle> ref;
+    std::uint64_t nextId = 0;
+
+    bool haveSnap = false;
+    EventQueue::Snapshot snap;
+    std::map<Key, EventQueue::Handle> refAtSnap;
+    std::uint64_t idAtSnap = 0;
+
+    auto popAndCheck = [&] {
+        ASSERT_FALSE(ref.empty());
+        const auto expected = ref.begin()->first;
+        fired.clear();
+        ASSERT_TRUE(eq.serviceOne());
+        ASSERT_EQ(fired.size(), 1u);
+        EXPECT_EQ(fired[0], std::get<2>(expected));
+        EXPECT_EQ(eq.curTick(), std::get<0>(expected));
+        ref.erase(ref.begin());
+    };
+
+    auto scheduleOne = [&] {
+        const Tick when = eq.curTick() + rng() % 64;
+        const EventPriority prio = prios[rng() % 4];
+        const std::uint64_t id = nextId++;
+        EventQueue::Handle h = eq.schedule(
+            when, [&fired, id] { fired.push_back(id); }, prio);
+        ref.emplace(Key{when, static_cast<int>(prio), id}, h);
+    };
+    auto cancelOne = [&] {
+        auto it = ref.begin();
+        std::advance(it, rng() % ref.size());
+        eq.deschedule(it->second);
+        ref.erase(it);
+    };
+
+    for (int step = 0; step < 20000; ++step) {
+        const unsigned op = rng() % 100;
+        if (op < 45 || ref.empty()) {
+            scheduleOne();
+        } else if (op < 79) {
+            cancelOne();
+        } else if (op < 80) {
+            // Cancel storm: carcasses outnumber live entries, which
+            // triggers lazy compaction.
+            for (int i = 0; i < 200; ++i)
+                scheduleOne();
+            while (ref.size() > 20)
+                cancelOne();
+        } else if (op < 97) {
+            popAndCheck();
+        } else if (op < 98 || !haveSnap) {
+            snap = eq.snapshot();
+            refAtSnap = ref;
+            idAtSnap = nextId;
+            haveSnap = true;
+        } else {
+            eq.restore(snap);
+            ref = refAtSnap;
+            nextId = idAtSnap;
+        }
+        ASSERT_EQ(eq.pending(), ref.size());
+    }
+    while (!ref.empty())
+        popAndCheck();
+    EXPECT_FALSE(eq.serviceOne());
+    EXPECT_GT(eq.compactions(), 0u);
+}
+
+TEST(EventQueue, SequencePastKeyFieldPanics)
+{
+    // seq shares a 64-bit key with the priority; the queue refuses
+    // to issue a seq that would spill into the priority bits.
+    EventQueue eq;
+    EventQueue::Snapshot snap = eq.snapshot();
+    snap.nextSeq = (std::uint64_t(1) << 56) - 1;
+    eq.restore(snap);
+    eq.schedule(1, [] {});
+    EXPECT_THROW(eq.schedule(2, [] {}), std::logic_error);
+    EXPECT_EQ(eq.pending(), 1u);
+}
+
+/** Answers every request with a Done on the same port. */
+struct DoneResponder : MemResponder
+{
+    void
+    handleRequest(MemPort &port, const MemRequest &req) override
+    {
+        port.respond({req.kind, MemResponseKind::Done, req.token});
+    }
+};
+
+TEST(EventQueue, PortRoundTripAllocatesNothingAfterWarmUp)
+{
+    // Both port legs are closures of (port pointer, message); they
+    // must fit the inline callback buffer, so a warmed-up queue
+    // serves a send/respond round trip without touching the heap.
+    EventQueue eq;
+    DoneResponder responder;
+    MemPort port;
+    port.init(eq, "p");
+    port.bind(responder);
+    std::uint64_t done = 0;
+    port.setResponseHandler([&done](const MemResponse &resp) {
+        done += resp.token;
+    });
+
+    auto roundTrip = [&](std::uint64_t token) {
+        MemRequest req;
+        req.kind = MemRequestKind::Store;
+        req.addr = 0x40;
+        req.token = token;
+        port.send(std::move(req));
+        eq.run();
+    };
+    for (std::uint64_t i = 1; i <= 4; ++i)
+        roundTrip(i);
+
+    const std::uint64_t before = heapAllocations.load();
+    roundTrip(100);
+    EXPECT_EQ(heapAllocations.load() - before, 0u);
+    EXPECT_EQ(done, 110u);
 }
 
 } // namespace

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "sim/sim_object.hh"
 #include "sim/stats.hh"
 
 namespace strand::stats
@@ -128,6 +131,31 @@ TEST(Stats, ChildDestructionUnlinksFromParent)
     std::ostringstream os;
     root.printStats(os);
     EXPECT_EQ(os.str().find("tmp"), std::string::npos);
+}
+
+TEST(Stats, FullNameIsTheDottedAncestorPath)
+{
+    // fullName() is stored at construction; it must be the dotted
+    // path of the group's ancestors at every level, and snapshot
+    // diagnostics must use the same string.
+    EventQueue eq;
+    SimObject system("system", eq);
+    StatGroup cpu("cpu0", &system);
+    SimObject engine("engine", eq, &cpu);
+    Scalar leaf(&engine, "clwbs", "");
+
+    EXPECT_EQ(system.fullName(), "system");
+    EXPECT_EQ(cpu.fullName(), "system.cpu0");
+    EXPECT_EQ(engine.fullName(), "system.cpu0.engine");
+    EXPECT_EQ(system.snapshotName(), "system");
+    EXPECT_EQ(engine.snapshotName(), "system.cpu0.engine");
+
+    std::vector<std::string> names;
+    system.visitStats([&](const std::string &name, const StatBase &) {
+        names.push_back(name);
+    });
+    EXPECT_EQ(names, std::vector<std::string>{engine.fullName() +
+                                              ".clwbs"});
 }
 
 } // namespace
