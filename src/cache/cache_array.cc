@@ -28,7 +28,7 @@ CacheArray::CacheArray(std::uint64_t sizeBytes, unsigned ways)
             "cache size {} not divisible into {}-way sets", sizeBytes,
             ways);
     sets = static_cast<unsigned>(numLines / ways);
-    lines.resize(numLines);
+    pages.resize((sets + setsPerPage - 1) / setsPerPage);
 }
 
 std::uint64_t
@@ -37,32 +37,51 @@ CacheArray::setIndex(Addr addr) const
     return (lineAlign(addr) / lineBytes) % sets;
 }
 
+int
+CacheArray::findWay(const CacheLineInfo *lines, Addr addr) const
+{
+    Addr la = lineAlign(addr);
+    for (unsigned w = 0; w < ways; ++w)
+        if (lines[w].valid() && lines[w].lineAddr == la)
+            return static_cast<int>(w);
+    return -1;
+}
+
 CacheLineInfo *
 CacheArray::findLine(Addr addr)
 {
-    Addr la = lineAlign(addr);
-    std::uint64_t base = setIndex(addr) * ways;
-    for (unsigned w = 0; w < ways; ++w) {
-        CacheLineInfo &line = lines[base + w];
-        if (line.valid() && line.lineAddr == la)
-            return &line;
-    }
-    return nullptr;
+    std::uint64_t set = setIndex(addr);
+    std::size_t offset = (set % setsPerPage) * ways;
+    const Page &page = pages[set / setsPerPage];
+    if (!page)
+        return nullptr;
+    int way = findWay(page.get() + offset, addr);
+    if (way < 0)
+        return nullptr;
+    return writablePage(set / setsPerPage) + offset + way;
 }
 
 const CacheLineInfo *
 CacheArray::findLine(Addr addr) const
 {
-    return const_cast<CacheArray *>(this)->findLine(addr);
+    std::uint64_t set = setIndex(addr);
+    const CacheLineInfo *page = pages[set / setsPerPage].get();
+    if (!page)
+        return nullptr;
+    const CacheLineInfo *lines = page + (set % setsPerPage) * ways;
+    int way = findWay(lines, addr);
+    return way < 0 ? nullptr : lines + way;
 }
 
 CacheLineInfo &
 CacheArray::victimFor(Addr addr)
 {
-    std::uint64_t base = setIndex(addr) * ways;
-    CacheLineInfo *victim = &lines[base];
+    std::uint64_t set = setIndex(addr);
+    CacheLineInfo *lines =
+        writablePage(set / setsPerPage) + (set % setsPerPage) * ways;
+    CacheLineInfo *victim = &lines[0];
     for (unsigned w = 0; w < ways; ++w) {
-        CacheLineInfo &line = lines[base + w];
+        CacheLineInfo &line = lines[w];
         if (!line.valid())
             return line;
         if (line.lastUse < victim->lastUse)
@@ -81,13 +100,37 @@ CacheArray::invalidate(Addr addr)
     return true;
 }
 
+CacheLineInfo *
+CacheArray::ownPage(std::size_t index)
+{
+    Page &page = pages[index];
+    Page fresh = std::make_shared<CacheLineInfo[]>(pageLines());
+    // A snapshot or a copy of this array still holds the page: give
+    // this array its own copy before the first write.
+    if (page)
+        std::copy_n(page.get(), pageLines(), fresh.get());
+    page = std::move(fresh);
+    return page.get();
+}
+
+void
+CacheArray::restoreState(const State &state)
+{
+    panicIf(state.sets != sets || state.ways != ways,
+            "cache array geometry changed across a snapshot");
+    useClock = state.useClock;
+    pages = state.pages;
+}
+
 std::uint64_t
 CacheArray::countValid() const
 {
     std::uint64_t count = 0;
-    for (const auto &line : lines)
-        if (line.valid())
-            ++count;
+    for (const Page &page : pages)
+        if (page)
+            count += std::count_if(
+                page.get(), page.get() + pageLines(),
+                [](const CacheLineInfo &line) { return line.valid(); });
     return count;
 }
 

@@ -315,7 +315,8 @@ writeFuzz(JsonWriter &json, const CellResult &cell)
  * The top-level `host` block: wall-clock and throughput for the run
  * that produced this document. wall_ms sums the per-cell wall times
  * (aggregate worker compute, not elapsed time), so the rates are
- * per-worker throughput and comparable across SW_JOBS values. This is
+ * per-worker throughput and comparable across SW_JOBS values;
+ * elapsed_ms is the sweep's end-to-end wall time. This is
  * the only nondeterministic part of the document — determinism checks
  * diff `.cells` (or render with includeHost=false) and stay clean.
  */
@@ -337,6 +338,7 @@ writeHost(JsonWriter &json, const SweepResult &result)
     json.item("host");
     json.open('{');
     json.fieldRaw("wall_ms", jsonNumber(wallMs));
+    json.fieldRaw("elapsed_ms", jsonNumber(result.elapsedMs));
     json.fieldRaw("events", jsonNumber(events));
     json.fieldRaw("sim_ops", jsonNumber(simOps));
     json.fieldRaw("events_per_sec", jsonNumber(rate(events)));

@@ -21,10 +21,13 @@
  * SW_JOBS values — and byte-identical to the schema-1 rendering,
  * so trajectory diffs survive the bump.
  *
- * Schema 2 adds the top-level `host` block: aggregate wall_ms,
- * events, sim_ops, and the derived events_per_sec / sim_ops_per_sec
- * rates, plus a per-cell {key, wall_ms, events, sim_ops} breakdown.
- * wall_ms is measured host time and therefore NOT deterministic;
+ * Schema 2 adds the top-level `host` block: aggregate wall_ms (the
+ * sum of per-cell wall times), elapsed_ms (the sweep's end-to-end
+ * wall time, which SW_JOBS shrinks and wall_ms does not), events,
+ * sim_ops, and the derived events_per_sec / sim_ops_per_sec rates,
+ * plus a per-cell {key, wall_ms, events, sim_ops} breakdown.
+ * wall_ms and elapsed_ms are measured host time and therefore NOT
+ * deterministic;
  * determinism gates must diff `.cells` (jq) or render with
  * includeHost=false rather than compare whole documents.
  *

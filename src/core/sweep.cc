@@ -161,6 +161,7 @@ executeCell(const SweepCell &cell, CellResult &result)
 SweepResult
 runSweep(const SweepSpec &spec)
 {
+    const auto sweepStarted = std::chrono::steady_clock::now();
     SweepResult result;
     result.name = spec.name;
     unsigned jobs = spec.jobs ? spec.jobs : envJobs();
@@ -254,6 +255,9 @@ runSweep(const SweepSpec &spec)
         }
         cell.speedup = cell.metrics.speedupOver(base->metrics);
     }
+    result.elapsedMs = std::chrono::duration<double, std::milli>(
+                           std::chrono::steady_clock::now() - sweepStarted)
+                           .count();
     return result;
 }
 

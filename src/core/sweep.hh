@@ -194,6 +194,12 @@ struct SweepResult
     /** Worker threads actually used (not part of the JSON output). */
     unsigned jobs = 1;
     std::vector<CellResult> cells;
+    /**
+     * Measured end-to-end wall time of runSweep() (the `host` block's
+     * elapsed_ms). Unlike the summed per-cell wall times it shrinks
+     * as workers are added; nondeterministic like every host figure.
+     */
+    double elapsedMs = 0;
 
     /** @return the cell with coordinates @p key, or nullptr. */
     const CellResult *find(const std::string &key) const;

@@ -11,7 +11,14 @@
  *
  *  - SimSnapshot is a typed key/value bag: components write their
  *    state under their dotted instance name and read it back by
- *    exact type. Values are stored by copy.
+ *    exact type. Values are stored by copy, except state a
+ *    component shares with the live run: the hierarchy shares
+ *    packets (immutable once submitted), and cache tag arrays share
+ *    their tag pages, which the live array copies on its first
+ *    write to a page a snapshot still holds (see CacheArray). The
+ *    sharing is tracked by reference counts that only the owning
+ *    thread may read, so a snapshot belongs to the thread that runs
+ *    the machine it was taken from.
  *  - Snapshotable is the component interface. The default
  *    implementations PANIC: a component that has not audited its
  *    state for capture (closure-holding queues, in-flight MSHRs)
@@ -92,8 +99,9 @@ class SimSnapshot
      * Approximate size of the captured state in bytes: the static
      * footprint of every stored value, plus the element payload of
      * values that are sized containers (one nesting level deep).
-     * Good enough to tell a half-captured machine from a full one in
-     * a log line; not an allocator-accurate measurement.
+     * Nested containers and shared pages are not counted, so this
+     * tells a half-captured machine from a full one in a log line;
+     * it is not an allocator-accurate measurement.
      */
     std::size_t approxBytes() const { return bytes; }
 

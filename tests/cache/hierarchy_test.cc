@@ -11,15 +11,54 @@
  * FlushStarted and Done(wrotePm). Every quoted latency therefore
  * includes the port legs (one request leg in, one response leg out,
  * plus one more request leg for paths that reach a controller).
+ *
+ * The snapshot tests at the end check that a capture shares the tag
+ * pages with the live hierarchy instead of copying them, and that
+ * later traffic never writes through to a capture.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
+
+namespace
+{
+
+/** Bytes requested from every global operator new in this binary. */
+std::atomic<std::uint64_t> heapBytes{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    heapBytes.fetch_add(size, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+// Out of line, so the compiler does not pair an inlined free() with
+// an inlined operator new at a call site and warn about a mismatch.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace strand
 {
@@ -464,6 +503,68 @@ TEST_F(HierarchyFixture, HierarchyReportsIdleAfterDraining)
     flush(0, lineA);
     eq.run();
     EXPECT_TRUE(hier->idle());
+}
+
+TEST_F(HierarchyFixture, CaptureOfPrewarmedL2SharesTagPages)
+{
+    // Table I geometry with every L2 set warm, as System::seedImage
+    // leaves it: a capture and a restore must cost the page tables,
+    // not the 11 MB of L2 tags.
+    build(8);
+    const Addr l2Sets = params.l2Size / lineBytes / params.l2Ways;
+    hier->prewarmL2(pmBase, pmBase + 2 * l2Sets * lineBytes);
+    load(0, lineA);
+    store(1, lineB, 3);
+    eq.run();
+
+    SimSnapshot snap;
+    std::uint64_t before = heapBytes.load();
+    hier->saveState(snap);
+    EXPECT_LT(heapBytes.load() - before, std::uint64_t{1} << 20);
+
+    before = heapBytes.load();
+    hier->restoreState(snap);
+    EXPECT_LT(heapBytes.load() - before, std::uint64_t{1} << 20);
+    EXPECT_EQ(hier->l2State(pmBase + l2Sets * lineBytes),
+              CoherenceState::Shared);
+}
+
+TEST_F(HierarchyFixture, RestoreRewindsTagsPastLaterTraffic)
+{
+    constexpr Addr lineC = pmBase + 0x8000;
+    build();
+    hier->prewarmL2(pmBase, pmBase + 0x10000);
+    store(0, lineA, 1);
+    load(1, lineB);
+    eq.run();
+
+    struct Tags
+    {
+        CoherenceState a0, a1, b0, b1, c0, l2a, l2c;
+        bool dirtyA0, dirtyL2A;
+        bool operator==(const Tags &) const = default;
+    };
+    auto tags = [this] {
+        return Tags{hier->l1State(0, lineA), hier->l1State(1, lineA),
+                    hier->l1State(0, lineB), hier->l1State(1, lineB),
+                    hier->l1State(0, lineC), hier->l2State(lineA),
+                    hier->l2State(lineC),    hier->l1Dirty(0, lineA),
+                    hier->l2Dirty(lineA)};
+    };
+    const Tags captured = tags();
+    SimSnapshot snap;
+    hier->saveState(snap);
+
+    for (int round = 0; round < 2; ++round) {
+        // Steal A, upgrade B, fill C: every L1 and L2 writer runs.
+        store(1, lineA, 2);
+        store(0, lineB, 3);
+        load(0, lineC);
+        eq.run();
+        ASSERT_NE(tags(), captured);
+        hier->restoreState(snap);
+        EXPECT_EQ(tags(), captured) << "round " << round;
+    }
 }
 
 } // namespace

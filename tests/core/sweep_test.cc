@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/result_sink.hh"
 #include "core/sweep.hh"
 
@@ -73,6 +75,29 @@ TEST(Sweep, SerialAndParallelRunsAreByteIdentical)
         EXPECT_EQ(serial.cells[i].host.simOps,
                   parallel.cells[i].host.simOps);
         EXPECT_GT(serial.cells[i].host.wallMs, 0.0);
+    }
+}
+
+TEST(Sweep, ElapsedTimeSpansEveryCell)
+{
+    // host.elapsed_ms is the sweep's end-to-end wall time: serial
+    // cells run one after another inside it, and parallel cells all
+    // start and end inside it.
+    auto recorded = smallWorkload();
+    SweepSpec spec = smallSpec(recorded);
+    for (unsigned jobs : {1u, 4u}) {
+        spec.jobs = jobs;
+        SweepResult result = runSweep(spec);
+        double summed = 0;
+        double longest = 0;
+        for (const CellResult &cell : result.cells) {
+            summed += cell.host.wallMs;
+            longest = std::max(longest, cell.host.wallMs);
+        }
+        EXPECT_GE(result.elapsedMs, jobs == 1 ? summed : longest)
+            << "jobs=" << jobs;
+        EXPECT_NE(sweepJson(result).find("\"elapsed_ms\": "),
+                  std::string::npos);
     }
 }
 
@@ -258,6 +283,7 @@ TEST(ResultSink, SchemaThreeGolden)
     crash.host.events = 400000;
     crash.host.simOps = 20000;
     result.cells.push_back(crash);
+    result.elapsedMs = 600;
 
     const std::string expected = R"({
   "bench": "golden",
@@ -337,6 +363,7 @@ TEST(ResultSink, SchemaThreeGolden)
   ],
   "host": {
     "wall_ms": 1000,
+    "elapsed_ms": 600,
     "events": 500000,
     "sim_ops": 25000,
     "events_per_sec": 500000,
@@ -379,6 +406,7 @@ TEST(ResultSink, EmptySweepStillRendersADocument)
               "  \"cells\": [],\n"
               "  \"host\": {\n"
               "    \"wall_ms\": 0,\n"
+              "    \"elapsed_ms\": 0,\n"
               "    \"events\": 0,\n"
               "    \"sim_ops\": 0,\n"
               "    \"events_per_sec\": 0,\n"

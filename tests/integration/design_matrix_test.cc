@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "core/strandweaver.hh"
 
@@ -66,24 +67,16 @@ TEST_P(DesignMatrix, RunsCleanAndPersistsEverything)
     EXPECT_EQ(metrics.lowering.clwbs, intel.lowering.clwbs);
 }
 
-TEST_P(DesignMatrix, DirectionalSanity)
+std::string
+cellName(const Cell &cell)
 {
-    auto [kind, design] = GetParam();
-    if (design != HwDesign::StrandWeaver)
-        GTEST_SKIP() << "one comparison per workload is enough";
-    RecordedWorkload &workload = recorded(kind);
-
-    RunMetrics intel = runExperiment(workload, HwDesign::IntelX86,
-                                     PersistencyModel::Sfr);
-    RunMetrics sw = runExperiment(workload, HwDesign::StrandWeaver,
-                                  PersistencyModel::Sfr);
-    RunMetrics na = runExperiment(workload, HwDesign::NonAtomic,
-                                  PersistencyModel::Sfr);
-    // Allow 5% noise at these tiny sizes.
-    EXPECT_LE(sw.runTicks, intel.runTicks * 21 / 20)
-        << workloadName(kind);
-    EXPECT_LE(na.runTicks, sw.runTicks * 21 / 20)
-        << workloadName(kind);
+    std::string name = workloadName(std::get<0>(cell));
+    name += "_";
+    name += hwDesignName(std::get<1>(cell));
+    for (char &c : name)
+        if (c == '-')
+            c = '_';
+    return name;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -91,14 +84,55 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(allWorkloads),
                        ::testing::ValuesIn(allDesigns)),
     [](const ::testing::TestParamInfo<Cell> &info) {
-        std::string name = workloadName(std::get<0>(info.param));
-        name += "_";
-        name += hwDesignName(std::get<1>(info.param));
-        for (char &c : name)
-            if (c == '-')
-                c = '_';
-        return name;
+        return cellName(info.param);
     });
+
+/**
+ * Intel is never faster than StrandWeaver, and NON-ATOMIC is never
+ * slower. One comparison per workload is enough, so this test is not
+ * a TEST_P (which would run it on every design); it is registered
+ * once per workload under the name the StrandWeaver cell of the
+ * matrix gives it.
+ */
+class DirectionalSanity : public DesignMatrix
+{
+  public:
+    explicit DirectionalSanity(WorkloadKind kind) : kind(kind) {}
+
+    void
+    TestBody() override
+    {
+        RecordedWorkload &workload = recorded(kind);
+        RunMetrics intel = runExperiment(workload, HwDesign::IntelX86,
+                                         PersistencyModel::Sfr);
+        RunMetrics sw = runExperiment(workload, HwDesign::StrandWeaver,
+                                      PersistencyModel::Sfr);
+        RunMetrics na = runExperiment(workload, HwDesign::NonAtomic,
+                                      PersistencyModel::Sfr);
+        // Allow 5% noise at these tiny sizes.
+        EXPECT_LE(sw.runTicks, intel.runTicks * 21 / 20)
+            << workloadName(kind);
+        EXPECT_LE(na.runTicks, sw.runTicks * 21 / 20)
+            << workloadName(kind);
+    }
+
+  private:
+    WorkloadKind kind;
+};
+
+[[maybe_unused]] const bool directionalSanityRegistered = [] {
+    for (WorkloadKind kind : allWorkloads) {
+        const Cell cell{kind, HwDesign::StrandWeaver};
+        ::testing::RegisterTest(
+            "AllCells/DesignMatrix",
+            ("DirectionalSanity/" + cellName(cell)).c_str(), nullptr,
+            ::testing::PrintToString(cell).c_str(), __FILE__, __LINE__,
+            [kind]() -> DesignMatrix * {
+                return new DirectionalSanity(kind);
+            });
+    }
+    return true;
+}();
 
 } // namespace
 } // namespace strand
