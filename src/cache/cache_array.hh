@@ -95,6 +95,9 @@ class CacheArray
     CacheLineInfo *findLine(Addr addr);
     /** @return the line's info if present; never copies a page. */
     const CacheLineInfo *findLine(Addr addr) const;
+    /** @return whether @p addr's line is present; never copies a
+     * page. */
+    bool contains(Addr addr) const { return findLine(addr) != nullptr; }
 
     /** Record a use for LRU purposes. */
     void touch(CacheLineInfo &line) { line.lastUse = ++useClock; }

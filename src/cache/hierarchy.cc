@@ -1,6 +1,7 @@
 #include "cache/hierarchy.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "fuzz/adversary.hh"
 
@@ -115,7 +116,7 @@ void
 Hierarchy::prewarmL2(Addr start, Addr end)
 {
     for (Addr la = lineAlign(start); la < end; la += lineBytes) {
-        if (l2.findLine(la))
+        if (l2.contains(la))
             continue;
         CacheLineInfo &victim = l2.victimFor(la);
         // Warm-up only targets an empty cache; skip on conflict
@@ -353,7 +354,8 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
     for (unsigned i = 0; i < cores.size(); ++i) {
         if (i == core)
             continue;
-        CacheLineInfo *remote = cores[i].array.findLine(lineAddr);
+        const CacheLineInfo *remote =
+            std::as_const(cores[i].array).findLine(lineAddr);
         if (!remote || remote->state != CoherenceState::Modified)
             continue;
 
@@ -425,17 +427,19 @@ Hierarchy::serviceMiss(CoreId core, Addr lineAddr, bool exclusive)
         for (unsigned i = 0; i < cores.size(); ++i) {
             if (i == core)
                 continue;
-            CacheLineInfo *remote = cores[i].array.findLine(lineAddr);
-            if (!remote)
+            CacheArray &remote = cores[i].array;
+            const CacheLineInfo *copy =
+                std::as_const(remote).findLine(lineAddr);
+            if (!copy)
                 continue;
             remoteCopies = true;
             if (exclusive)
-                cores[i].array.invalidate(lineAddr);
-            else if (remote->state == CoherenceState::Exclusive)
-                remote->state = CoherenceState::Shared;
+                remote.invalidate(lineAddr);
+            else if (copy->state == CoherenceState::Exclusive)
+                remote.findLine(lineAddr)->state = CoherenceState::Shared;
         }
 
-        if (l2.findLine(lineAddr)) {
+        if (l2.contains(lineAddr)) {
             CoherenceState fill;
             if (exclusive)
                 fill = CoherenceState::Exclusive;
@@ -508,9 +512,9 @@ bool
 Hierarchy::installLine(CoreId core, Addr lineAddr, CoherenceState state)
 {
     L1 &l1 = cores.at(core);
-    if (l1.array.findLine(lineAddr)) {
+    if (CacheLineInfo *line = l1.array.findLine(lineAddr)) {
         // Already present (e.g. re-entered finishFill); just set state.
-        l1.array.findLine(lineAddr)->state = state;
+        line->state = state;
         return true;
     }
     CacheLineInfo &victim = l1.array.victimFor(lineAddr);
@@ -525,7 +529,7 @@ Hierarchy::installLine(CoreId core, Addr lineAddr, CoherenceState state)
     // Maintain inclusion: make sure the L2 tracks the line too. A
     // cache-to-cache or L2 fill already has it; memory fills insert
     // it in the fetch path. If it is somehow absent, add it cheaply.
-    if (!l2.findLine(lineAddr))
+    if (!l2.contains(lineAddr))
         installLineL2(lineAddr);
     return true;
 }
@@ -583,7 +587,7 @@ Hierarchy::drainWritebacks()
 bool
 Hierarchy::installLineL2(Addr lineAddr)
 {
-    if (l2.findLine(lineAddr))
+    if (l2.contains(lineAddr))
         return true;
     if (pendingL2Evicts.size() >= params.l2EvictEntries)
         return false;
@@ -749,7 +753,7 @@ Hierarchy::startFlush(CoreId core, Addr addr,
     {
         // Fast path: the flushing core's own L1 owns the dirty line.
         L1 &own = cores.at(core);
-        CacheLineInfo *line = own.array.findLine(la);
+        const CacheLineInfo *line = std::as_const(own.array).findLine(la);
         bool ownDirty = line && line->dirty();
         Tick lookup = ownDirty
                           ? params.l1Latency
@@ -766,23 +770,24 @@ Hierarchy::startFlush(CoreId core, Addr addr,
                 onStarted();
             bool dirty = false;
             // Clean every dirty copy in the domain; CLWB retains
-            // clean copies (non-invalidating).
+            // clean copies (non-invalidating). The const lookup comes
+            // first so that a clean hit copies no tag page a
+            // snapshot still holds.
+            auto clean = [la](CacheArray &array, CoherenceState to) {
+                const CacheLineInfo *l = std::as_const(array).findLine(la);
+                if (!l || !l->dirty())
+                    return false;
+                array.findLine(la)->state = to;
+                return true;
+            };
             for (auto &l1 : cores) {
-                if (CacheLineInfo *l = l1.array.findLine(la)) {
-                    if (l->dirty()) {
-                        dirty = true;
-                        l->state = CoherenceState::Exclusive;
-                    }
-                }
+                if (clean(l1.array, CoherenceState::Exclusive))
+                    dirty = true;
                 if (l1.writebacks.contains(la))
                     dirty = true;
             }
-            if (CacheLineInfo *l2line = l2.findLine(la)) {
-                if (l2line->dirty()) {
-                    dirty = true;
-                    l2line->state = CoherenceState::Shared;
-                }
-            }
+            if (clean(l2, CoherenceState::Shared))
+                dirty = true;
 
             if (!dirty) {
                 ++flushesClean;

@@ -116,17 +116,17 @@ struct BranchProbe
 
 /**
  * Run one system under @p adv with crash-recovery injection at every
- * admission and after completion. The shared core of the replay run
- * (replaying adversary, faithful scan) and of the forked fast path
- * (recording adversary, paged scan). A non-null @p probe with a
- * branch budget additionally snapshots the machine at power-of-two
- * adversary query counts and, when the main schedule passes, explores
- * @c probe->branches reseeded suffixes from the older capture.
+ * admission and after completion, recovering each crash image with
+ * the paged log scan. The shared core of the replay run (replaying
+ * adversary) and of the forked fast path (recording adversary). A
+ * non-null @p probe with a branch budget additionally snapshots the
+ * machine at power-of-two adversary query counts and, when the main
+ * schedule passes, explores @c probe->branches reseeded suffixes from
+ * the older capture.
  */
 FuzzReplayOutcome
 runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
-                 unsigned tornWords, RecoveryScan scan,
-                 BranchProbe *probe = nullptr)
+                 unsigned tornWords, BranchProbe *probe = nullptr)
 {
     FuzzReplayOutcome outcome;
     TrialRig rig(ctx);
@@ -191,7 +191,8 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
         RecoveryOptions ropts;
         ropts.verifyChecksums = ctx.spec.verifyChecksums;
         RecoveryReport report =
-            recovery.recover(snapshot, programThreads, scan, ropts);
+            recovery.recover(snapshot, programThreads,
+                             RecoveryScan::Paged, ropts);
 
         std::string err;
         if (report.verdict == RecoveryVerdict::Failed)
@@ -363,8 +364,7 @@ replayDecisions(const FuzzTrialContext &ctx, const DecisionLog &log,
                 unsigned tornWords)
 {
     DrainAdversary adv = DrainAdversary::replaying(log);
-    return runWithInjection(ctx, adv, tornWords,
-                            RecoveryScan::Faithful);
+    return runWithInjection(ctx, adv, tornWords);
 }
 
 FuzzTrialResult
@@ -401,9 +401,8 @@ runFuzzTrial(const FuzzTrialSpec &spec)
         // attached. The injection observers are pure (they clone the
         // image and recover the clone), so the adversary sees the
         // schedule of a recording-only run and logs the identical
-        // decisions; the paged recovery scan keeps the per-admission
-        // checks cheap. A passing trial is done after this single
-        // run — roughly half the classic wall-clock.
+        // decisions. A passing trial is done after this single run —
+        // roughly half the classic wall-clock.
         AdversaryParams ap = spec.adversary;
         ap.seed = ctx.adversarySeed;
         DrainAdversary adv = DrainAdversary::recording(ap);
@@ -414,8 +413,7 @@ runFuzzTrial(const FuzzTrialSpec &spec)
         // sub-seeds (streams 1..3).
         probe.seedBase = mixSeed(ctx.adversarySeed, 0x5eed);
         FuzzReplayOutcome fast =
-            runWithInjection(ctx, adv, result.tornWords,
-                             RecoveryScan::Paged, &probe);
+            runWithInjection(ctx, adv, result.tornWords, &probe);
         result.decisions = adv.log();
         result.queries = adv.queriesSeen();
         result.hostEvents += fast.hostEvents + probe.hostEvents;
@@ -424,12 +422,12 @@ runFuzzTrial(const FuzzTrialSpec &spec)
         if (!fast.failed && probe.failed) {
             // The main schedule passed but a forked suffix failed:
             // confirm by replaying the branch's full decision log
-            // from tick zero with the faithful scan — the exact
-            // predicate the shrinker applies to sub-logs. The replay
-            // must also reproduce the restored-prefix execution's
-            // persist trace bit for bit; a mismatch means snapshot
-            // restore is not deterministic and is reported as its
-            // own failure class.
+            // from tick zero — the exact predicate the shrinker
+            // applies to sub-logs. The replay must also reproduce
+            // the restored-prefix execution's persist trace bit for
+            // bit; a mismatch means snapshot restore is not
+            // deterministic and is reported as its own failure
+            // class.
             FuzzReplayOutcome confirm = replayDecisions(
                 ctx, probe.failingLog, result.tornWords);
             result.decisions = probe.failingLog;
@@ -461,9 +459,9 @@ runFuzzTrial(const FuzzTrialSpec &spec)
             return result;
         }
         // Confirm the failure through the oracle path: replay the
-        // recorded log from tick 0 with the faithful scan, exactly
-        // what the shrinker will do. The divergence check below
-        // compares against the fast run's trace.
+        // recorded log from tick 0, exactly what the shrinker will
+        // do. The divergence check below compares against the fast
+        // run's trace.
         FuzzReplayOutcome outcome = replayDecisions(
             ctx, result.decisions, result.tornWords);
         result.failed = outcome.failed;

@@ -12,12 +12,13 @@
  *  2. A replay run applies that exact log through a replaying
  *     adversary and, at every ADR admission (plus the completed
  *     run), snapshots the persisted image — torn at the trial's
- *     word mask — recovers it with the Figure 6 protocol and
- *     validates it against the CrashOracle and the workload's
- *     structural invariants. The persist-trace hash of the replay
- *     must equal the recording run's: any divergence is itself
- *     reported as a trial failure (it would mean the trial is not
- *     replayable from (seed, log), breaking shrinking).
+ *     word mask — recovers it with the Figure 6 protocol (paged log
+ *     scan, RecoveryScan::Paged) and validates it against the
+ *     CrashOracle and the workload's structural invariants. The
+ *     persist-trace hash of the replay must equal the recording
+ *     run's: any divergence is itself reported as a trial failure
+ *     (it would mean the trial is not replayable from (seed, log),
+ *     breaking shrinking).
  *
  * replayDecisions() is the shrinker's predicate: because the
  * adversary treats queries without a log entry as "proceed", any
@@ -60,12 +61,13 @@ struct FuzzTrialSpec
     /**
      * Forked-trial fast path: run the recording pass WITH injection
      * attached (the observers are pure, so the schedule is the one a
-     * recording-only run produces) and the cheap paged recovery
-     * scan, skipping the replay for passing trials. A failing trial
-     * falls back to the classic record+replay pair — faithful scan,
-     * divergence check — so campaign failures remain replayable from
-     * (seed, log) and shrinkable exactly as in classic mode. The
+     * recording-only run produces), skipping the replay for passing
+     * trials. A failing trial falls back to the classic replay with
+     * its divergence check, so campaign failures remain replayable
+     * from (seed, log) and shrinkable exactly as in classic mode. The
      * trade-off: passing trials skip the replay-divergence check.
+     * Both paths recover with the paged log scan
+     * (RecoveryScan::Paged), as do the shrinker's replays.
      * Unset defers to SW_CRASH_FORK.
      */
     std::optional<bool> fork;

@@ -145,17 +145,19 @@ enum class RecoveryScan
 {
     /**
      * One readPersisted() hash probe per field of every slot. The
-     * slow, trusted reference; the two-run crash harness and the
-     * fuzz replay oracle stay on it.
+     * slow reference scan: only the two-run crash harness and the
+     * scan differential tests use it, so the paged scan stays
+     * cross-checked against it.
      */
     Faithful,
     /**
      * Page-cursor scan: walk each thread's log region a persisted
      * page at a time, skipping absent pages (8 KiB of Free slots)
      * outright and reading entry fields straight out of the page
-     * array. This is what makes forked crash exploration cheap —
-     * recovery dominates the per-point cost, and the scan dominates
-     * recovery.
+     * array. The default: the forked crash harness and every fuzz
+     * recovery (replays, branch confirmations, shrinker replays) use
+     * it. Recovery dominates the per-point cost of crash exploration,
+     * and the scan dominates recovery.
      */
     Paged,
 };
@@ -173,7 +175,7 @@ class RecoveryManager
      * view; writes restored values durably.
      */
     RecoveryReport recover(MemoryImage &image, unsigned numThreads,
-                           RecoveryScan scan = RecoveryScan::Faithful,
+                           RecoveryScan scan = RecoveryScan::Paged,
                            const RecoveryOptions &options = {}) const;
 
   private:

@@ -527,6 +527,29 @@ TEST_F(HierarchyFixture, CaptureOfPrewarmedL2SharesTagPages)
     EXPECT_LT(heapBytes.load() - before, std::uint64_t{1} << 20);
     EXPECT_EQ(hier->l2State(pmBase + l2Sets * lineBytes),
               CoherenceState::Shared);
+
+    // Presence tests must not copy a page the capture still holds. A
+    // repeated prewarm finds every line already present and writes
+    // nothing, so it allocates nothing at all.
+    before = heapBytes.load();
+    hier->prewarmL2(pmBase, pmBase + 2 * l2Sets * lineBytes);
+    EXPECT_EQ(heapBytes.load() - before, 0u);
+
+    // An L1 fill from an L2-resident line only asks the L2 whether it
+    // holds the line (the miss path and the inclusion check). Under a
+    // fresh capture the fill copies one 768-byte L1 page and
+    // allocates request bookkeeping, but no 6 KiB L2 page.
+    const std::uint64_t l2PageBytes =
+        std::uint64_t{CacheArray::setsPerPage} * params.l2Ways *
+        sizeof(CacheLineInfo);
+    const Addr resident = pmBase + 5 * lineBytes;
+    ASSERT_EQ(hier->l1State(0, resident), CoherenceState::Invalid);
+    SimSnapshot again;
+    hier->saveState(again);
+    before = heapBytes.load();
+    load(0, resident);
+    EXPECT_LT(heapBytes.load() - before, l2PageBytes);
+    EXPECT_NE(hier->l1State(0, resident), CoherenceState::Invalid);
 }
 
 TEST_F(HierarchyFixture, RestoreRewindsTagsPastLaterTraffic)
