@@ -130,8 +130,7 @@ class Hierarchy : public SimObject, public MemResponder
     void prewarmL2(Addr start, Addr end);
 
     /**
-     * Service one mailed request, from the shared domain's event
-     * stream:
+     * Service one mailed request, from its own delivery event:
      *  - Load: Nack if no MSHR is available (requester retries);
      *    otherwise Done(token) when data is available.
      *  - Store: Nack if no MSHR (retry), else Ack(token) at

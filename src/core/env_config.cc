@@ -69,8 +69,6 @@ parseEnvConfig(const std::function<const char *(const char *)> &get)
     config.threads = parseUnsigned(get, "SW_THREADS", 1);
     config.crashPoints = parseUnsigned(get, "SW_CRASH_POINTS", 0);
     config.jobs = parseUnsigned(get, "SW_JOBS", 1);
-    config.shards = parseUnsigned(get, "SW_SHARDS", 1);
-    config.windowTicks = parseUnsigned(get, "SW_WINDOW_TICKS", 1);
     // Admitting all words of a line is not torn at all; cap at 7.
     config.tornWords =
         parseUnsigned(get, "SW_TORN_WORDS", 0, wordsPerLine - 1);
@@ -106,10 +104,6 @@ envKnobs()
          "crash points injected per validated experiment"},
         {"SW_JOBS", ">= 1", "hardware concurrency",
          "sweep worker threads (1 = serial; output identical)"},
-        {"SW_SHARDS", ">= 1", "1 (serial loop)",
-         "PDES domains for sharded runs (bit-identical results)"},
-        {"SW_WINDOW_TICKS", ">= 1", "partition lookahead",
-         "lock-step window width for the sharded run loop"},
         {"SW_TORN_WORDS", "0..7", "unset (no tearing)",
          "admit only this many words of the final line per crash"},
         {"SW_CRASH_SEED", "u64 (0x hex ok)", "fixed default",
@@ -133,7 +127,7 @@ envKnobs()
         {"SW_MEDIA_SEED", "u64 (0x hex ok)", "fixed default",
          "seed of the media-fault stream"},
         {"SW_LOG", "0..2", "1 (normal)",
-         "console log level (2 prints the PDES partition)"},
+         "console log level (2 adds status lines)"},
         {"SW_OUT_DIR", "path", "bench/out",
          "directory for JSON result files"},
     };
@@ -172,8 +166,8 @@ envConfig()
         EnvConfig parsed = parseEnvConfig(
             [](const char *name) { return std::getenv(name); });
         // The log level is process-global; apply it as soon as the
-        // environment is first consulted so partition logging and
-        // the like honor SW_LOG without per-caller plumbing.
+        // environment is first consulted so inform() output honors
+        // SW_LOG without per-caller plumbing.
         if (parsed.logLevel) {
             setLogLevel(*parsed.logLevel == 0   ? LogLevel::Quiet
                         : *parsed.logLevel == 1 ? LogLevel::Normal
@@ -191,12 +185,6 @@ envJobs()
         return *envConfig().jobs;
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-}
-
-unsigned
-envShards()
-{
-    return envConfig().shards.value_or(1);
 }
 
 } // namespace strand

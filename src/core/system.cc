@@ -1,10 +1,8 @@
 #include "core/system.hh"
 
-#include <algorithm>
 #include <unordered_set>
 #include <vector>
 
-#include "core/env_config.hh"
 #include "runtime/layout.hh"
 
 namespace strand
@@ -123,10 +121,7 @@ System::run()
 {
     fatalIf(!streamsLoaded, "run() without loadStreams()");
     startCores();
-    if (requestedShards() > 1)
-        runWindowed(maxTick);
-    else
-        eq.run();
+    eq.run();
     panicIf(!finishedAll(),
             "event queue drained but cores have not finished "
             "(deadlocked ordering constraint?)");
@@ -138,72 +133,8 @@ System::runUntil(Tick limit)
 {
     fatalIf(!streamsLoaded, "runUntil() without loadStreams()");
     startCores();
-    if (requestedShards() > 1)
-        runWindowed(limit);
-    else
-        eq.runUntil(limit);
+    eq.runUntil(limit);
     return finishedAll();
-}
-
-unsigned
-System::requestedShards() const
-{
-    return cfg.shards ? cfg.shards : envShards();
-}
-
-const DomainPartition &
-System::domainPartition()
-{
-    if (!part)
-        part = computeSystemPartition(*this, requestedShards());
-    return *part;
-}
-
-Tick
-System::shardWindowTicks()
-{
-    if (cfg.windowTicks)
-        return cfg.windowTicks;
-    if (envConfig().windowTicks)
-        return *envConfig().windowTicks;
-    return domainPartition().windowTicks;
-}
-
-void
-System::runWindowed(Tick limit)
-{
-    // The production partition yields 1 + nCores effective domains
-    // (each core's mailbox legs declare a positive latency, so
-    // nothing fuses), but all components still share this system's
-    // single kernel queue and a "window" is a bounded runUntil step
-    // no wider than the partition's minimum cross-domain lookahead.
-    // The kernel services exactly the same events in exactly the
-    // same order as one unbounded run — the windows only pace how
-    // far the clock is allowed to advance per step — which is what
-    // makes SW_SHARDS a pure performance knob with bit-identical
-    // results.
-    const Tick window = shardWindowTicks();
-    panicIf(window == 0, "sharded run needs a window width >= 1");
-    for (;;) {
-        const Tick start = eq.nextLiveTick();
-        if (start == maxTick || start > limit)
-            break;
-        const Tick windowEnd = window >= maxTick - start
-                                   ? maxTick
-                                   : start + window - 1;
-        const Tick stop = std::min(windowEnd, limit);
-        if (stop == maxTick) {
-            eq.run();
-            ++pdesWindows;
-            return;
-        }
-        eq.runUntil(stop);
-        ++pdesWindows;
-    }
-    // Preserve the serial runUntil() contract: the clock lands on
-    // the limit even when the queue drains early.
-    if (limit != maxTick)
-        eq.runUntil(limit);
 }
 
 void
@@ -231,7 +162,6 @@ System::snapshot() const
     rs.lastFinish = lastFinish;
     rs.streamsLoaded = streamsLoaded;
     rs.coresStarted = coresStarted;
-    rs.pdesWindows = pdesWindows;
     snap.put("system.run", std::move(rs));
     // Component graph, keyed by dotted instance name. Cores recurse
     // into their persist engines (and strand buffer units).
@@ -258,7 +188,6 @@ System::restore(const SimSnapshot &snap)
     lastFinish = rs.lastFinish;
     streamsLoaded = rs.streamsLoaded;
     coresStarted = rs.coresStarted;
-    pdesWindows = rs.pdesWindows;
     pmCtrl->restoreState(snap);
     dramCtrl->restoreState(snap);
     caches->restoreState(snap);

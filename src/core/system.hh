@@ -14,11 +14,9 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "core/domain_partition.hh"
 #include "core/observer.hh"
 #include "cpu/core.hh"
 #include "persist/design.hh"
@@ -53,21 +51,6 @@ struct SystemConfig
      * legal-reordering site consults the same adversary.
      */
     DrainAdversary *adversary = nullptr;
-    /**
-     * PDES domains requested for this machine's run loop (0 = defer
-     * to SW_SHARDS; 1 = classic serial loop). The partitioner caps
-     * the request at the number of separable affinity classes
-     * (1 + nCores for the production port-based graph); either way
-     * results are bit-identical at any value — sharding is a
-     * performance knob, never a semantics knob.
-     */
-    unsigned shards = 0;
-    /**
-     * Lock-step window width in ticks for the sharded run loop
-     * (0 = defer to SW_WINDOW_TICKS, then to the partition's
-     * minimum cross-domain lookahead).
-     */
-    Tick windowTicks = 0;
 };
 
 /**
@@ -157,32 +140,6 @@ class System : public stats::StatGroup
     /** Kernel events serviced by this system's queue so far. */
     std::uint64_t eventsServiced() const { return eq.serviced(); }
 
-    /** @name PDES sharding (SW_SHARDS) @{ */
-
-    /** Shards requested for this machine (config, then SW_SHARDS). */
-    unsigned requestedShards() const;
-
-    /**
-     * The resolved domain partition (computed on first use). With
-     * the production graph every core group reaches the shared
-     * fabric through MemPort mailboxes whose legs declare positive
-     * latency, so nothing fuses: the separable classes are "shared"
-     * plus one per core, and the window is the minimum declared
-     * port-leg latency (crossEdges records each surviving edge).
-     */
-    const DomainPartition &domainPartition();
-
-    /**
-     * Window width the sharded run loop uses: the config override,
-     * then SW_WINDOW_TICKS, then the partition's lookahead.
-     */
-    Tick shardWindowTicks();
-
-    /** Lock-step windows executed by the sharded run loop so far. */
-    std::uint64_t shardWindows() const { return pdesWindows; }
-
-    /** @} */
-
     /** The tick at which the last core finished. */
     Tick finishTick() const { return lastFinish; }
 
@@ -248,16 +205,7 @@ class System : public stats::StatGroup
         Tick lastFinish = 0;
         bool streamsLoaded = false;
         bool coresStarted = false;
-        std::uint64_t pdesWindows = 0;
     };
-
-    /**
-     * Advance the run in lock-step lookahead windows up to @p limit
-     * (maxTick = to completion). Event processing is identical to
-     * the serial loop — windows only bound how far the kernel is
-     * asked to advance per step — so results are bit-identical.
-     */
-    void runWindowed(Tick limit);
 
     SystemConfig cfg;
     EventQueue eq;
@@ -274,9 +222,6 @@ class System : public stats::StatGroup
     Tick lastFinish = 0;
     bool streamsLoaded = false;
     bool coresStarted = false;
-    /** Resolved lazily by domainPartition(). */
-    std::optional<DomainPartition> part;
-    std::uint64_t pdesWindows = 0;
 };
 
 } // namespace strand

@@ -99,10 +99,6 @@ class Core : public ClockedObject
     CoreId id() const { return coreId; }
     PersistEngine &persistEngine() { return *engine; }
 
-    /** The core's mailbox to the hierarchy (partitioner reads its
-     * declared leg latencies as cross-domain lookahead). */
-    const MemPort &memPort() const { return port; }
-
     /** Attach the system's observer hub (dispatch events). */
     void setObserverHub(ObserverHub *hub) { obsHub = hub; }
 

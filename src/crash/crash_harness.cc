@@ -310,9 +310,8 @@ runCrashCell(const RecordedWorkload &recorded, HwDesign design,
             cap.when = sys->eventQueue().curTick();
             cap.snap = sys->snapshot();
             cap.sanitizerState = sanitizer.snapshotState();
-            inform("crash-fork capture @{}: {} keys, ~{} bytes",
-                   cap.when, cap.snap.size(),
-                   cap.snap.approxBytes());
+            inform("crash-fork capture @{}: {} keys", cap.when,
+                   cap.snap.size());
             machineCaptures.push_back(std::move(cap));
             if (machineCaptures.size() > 2)
                 machineCaptures.pop_front();

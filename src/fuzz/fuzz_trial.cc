@@ -290,10 +290,8 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
                     cap.serviced = sys->eventsServiced();
                     cap.committed = static_cast<std::uint64_t>(
                         sys->totalCommitted());
-                    inform("fuzz-fork capture @{}: {} keys, ~{} "
-                           "bytes",
-                           cap.when, cap.snap.size(),
-                           cap.snap.approxBytes());
+                    inform("fuzz-fork capture @{}: {} keys",
+                           cap.when, cap.snap.size());
                     captures.push_back(std::move(cap));
                     if (captures.size() > 2)
                         captures.pop_front();

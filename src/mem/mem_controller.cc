@@ -38,9 +38,6 @@ MemController::MemController(std::string name, EventQueue &eq,
       banks(params.banks)
 {
     fatalIf(params.banks == 0, "controller must have at least one bank");
-    // Memory controllers service the shared cache fabric's ports, so
-    // they anchor the shared PDES domain when sharded.
-    setDomainAffinity("shared");
     // Build every pooled slot (and its recurring completion event)
     // up front. Snapshot restore requires that no recurring event be
     // bound after a capture, and the pools are bounded by the

@@ -99,8 +99,6 @@ makePersistEngine(HwDesign design, std::string name, EventQueue &eq,
     };
     auto engine = build();
     engine->setRecordCompletions(config.recordCompletionTicks);
-    // The engine rides with its core's PDES domain when sharded.
-    engine->setDomainAffinity("core" + std::to_string(core));
     return engine;
 }
 

@@ -23,18 +23,6 @@ IntelEngine::IntelEngine(std::string name, EventQueue &eq, CoreId core,
         [this](const MemResponse &resp) { onMemResponse(resp); });
 }
 
-Tick
-IntelEngine::portRequestLatency() const
-{
-    return port.requestLatency();
-}
-
-Tick
-IntelEngine::portResponseLatency() const
-{
-    return port.responseLatency();
-}
-
 void
 IntelEngine::onMemResponse(const MemResponse &resp)
 {

@@ -61,8 +61,6 @@ class IntelEngine : public PersistEngine
     bool drained() const override;
     std::size_t queueOccupancy() const override;
     Hierarchy::Clearance recordDrainPoint() override;
-    Tick portRequestLatency() const override;
-    Tick portResponseLatency() const override;
 
     /** Capture / restore the CLWB/SFENCE queue. */
     void saveState(SimSnapshot &snap) const override;

@@ -50,9 +50,6 @@ StrandEngine::StrandEngine(std::string name, EventQueue &eq, CoreId core,
       core(core), params(params),
       sbu("sbu", eq, core, hier, params.sbu, this)
 {
-    // Strand buffers are private to their core and follow its PDES
-    // domain when the simulation is sharded.
-    sbu.setDomainAffinity("core" + std::to_string(core));
     sbu.setCompletionCallback([this](std::uint64_t seq, bool wrotePm) {
         onClwbComplete(seq, wrotePm);
     });
@@ -392,18 +389,6 @@ bool
 StrandEngine::sharesStoreQueue() const
 {
     return params.sharedStoreQueue;
-}
-
-Tick
-StrandEngine::portRequestLatency() const
-{
-    return sbu.memPort().requestLatency();
-}
-
-Tick
-StrandEngine::portResponseLatency() const
-{
-    return sbu.memPort().responseLatency();
 }
 
 void

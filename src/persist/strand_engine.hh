@@ -97,8 +97,6 @@ class StrandEngine : public PersistEngine
     bool sharesStoreQueue() const override;
     SeqNum oldestIncompleteSeq() const override;
     Hierarchy::Clearance recordDrainPoint() override;
-    Tick portRequestLatency() const override;
-    Tick portResponseLatency() const override;
 
     /** Capture / restore the persist queue and the buffer unit. */
     void saveState(SimSnapshot &snap) const override;

@@ -387,8 +387,9 @@ class EventQueue
     /**
      * The tick of the earliest live event, or maxTick when none is
      * pending. Prunes cancelled carcasses off the heap top exactly as
-     * serviceOne() would; dispatch order is unaffected. Used by the
-     * sharded PDES driver to pick the next lock-step window.
+     * serviceOne() would; dispatch order is unaffected. Lets a
+     * caller step the queue one tick at a time via
+     * runUntil(nextLiveTick()).
      */
     Tick nextLiveTick();
 

@@ -55,37 +55,8 @@ class SimObject : public stats::StatGroup, public Snapshotable
         return fullName();
     }
 
-    /** @name Domain affinity (PDES sharding) @{ */
-
-    /**
-     * Tag this component with the PDES domain it follows when the
-     * simulation is sharded (SW_SHARDS): per-core components (the
-     * core itself, its persist engine and strand buffers) carry
-     * "core<N>"; globally shared fabric (cache hierarchy, memory
-     * controllers) carries "shared". The partitioner
-     * (core/domain_partition.hh) groups components by this tag.
-     */
-    void
-    setDomainAffinity(std::string affinity)
-    {
-        domainTag = std::move(affinity);
-    }
-
-    /** The domain-affinity tag; untagged components are "shared". */
-    const std::string &
-    domainAffinity() const
-    {
-        static const std::string shared = "shared";
-        return domainTag.empty() ? shared : domainTag;
-    }
-
-    /** @} */
-
   protected:
     EventQueue &eq;
-
-  private:
-    std::string domainTag;
 };
 
 /** A simulation component driven by a clock. */

@@ -59,7 +59,6 @@ class SimSnapshot
     {
         panicIf(slots.count(key) != 0,
                 "snapshot key '{}' captured twice", key);
-        bytes += key.size() + slotBytes(value);
         slots.emplace(key, std::move(value));
     }
 
@@ -95,34 +94,8 @@ class SimSnapshot
         return out;
     }
 
-    /**
-     * Approximate size of the captured state in bytes: the static
-     * footprint of every stored value, plus the element payload of
-     * values that are sized containers (one nesting level deep).
-     * Nested containers and shared pages are not counted, so this
-     * tells a half-captured machine from a full one in a log line;
-     * it is not an allocator-accurate measurement.
-     */
-    std::size_t approxBytes() const { return bytes; }
-
   private:
-    template <typename T>
-    static std::size_t
-    slotBytes(const T &value)
-    {
-        if constexpr (requires {
-                          value.size();
-                          typename T::value_type;
-                      }) {
-            return sizeof(T) +
-                   value.size() * sizeof(typename T::value_type);
-        } else {
-            return sizeof(T);
-        }
-    }
-
     std::map<std::string, std::any> slots;
-    std::size_t bytes = 0;
 };
 
 /**

@@ -37,8 +37,6 @@ TEST(EnvConfig, UnsetKnobsLeaveDefaults)
     EXPECT_FALSE(config.threads.has_value());
     EXPECT_FALSE(config.crashPoints.has_value());
     EXPECT_FALSE(config.jobs.has_value());
-    EXPECT_FALSE(config.shards.has_value());
-    EXPECT_FALSE(config.windowTicks.has_value());
     EXPECT_FALSE(config.tornWords.has_value());
     EXPECT_FALSE(config.crashSeed.has_value());
     EXPECT_FALSE(config.fuzzTrials.has_value());
@@ -117,27 +115,6 @@ TEST(EnvConfig, FuzzForkBranchParsesAsCount)
                  std::invalid_argument);
 }
 
-TEST(EnvConfig, ShardKnobsParseAndValidate)
-{
-    EnvConfig config =
-        parse({{"SW_SHARDS", "4"}, {"SW_WINDOW_TICKS", "2000"}});
-    EXPECT_EQ(config.shards, 4u);
-    EXPECT_EQ(config.windowTicks, 2000u);
-    EXPECT_FALSE(parse({}).shards.has_value());
-    EXPECT_FALSE(parse({}).windowTicks.has_value());
-    // Both are >= 1: zero shards is meaningless and a zero-width
-    // window can never advance the clock.
-    EXPECT_THROW(parse({{"SW_SHARDS", "0"}}), std::invalid_argument);
-    EXPECT_THROW(parse({{"SW_WINDOW_TICKS", "0"}}),
-                 std::invalid_argument);
-    EXPECT_THROW(parse({{"SW_SHARDS", "-2"}}),
-                 std::invalid_argument);
-    EXPECT_THROW(parse({{"SW_SHARDS", "two"}}),
-                 std::invalid_argument);
-    EXPECT_THROW(parse({{"SW_WINDOW_TICKS", "1e6"}}),
-                 std::invalid_argument);
-}
-
 TEST(EnvConfig, KnobRegistryCoversEveryKnob)
 {
     // The --help table is generated from envKnobs(); a knob missing
@@ -145,8 +122,7 @@ TEST(EnvConfig, KnobRegistryCoversEveryKnob)
     // registry in sync with the parser by name.
     std::vector<std::string> expected = {
         "SW_OPS",         "SW_THREADS",   "SW_CRASH_POINTS",
-        "SW_JOBS",        "SW_SHARDS",    "SW_WINDOW_TICKS",
-        "SW_TORN_WORDS",  "SW_CRASH_SEED",
+        "SW_JOBS",        "SW_TORN_WORDS", "SW_CRASH_SEED",
         "SW_FUZZ_TRIALS", "SW_FUZZ_SEED", "SW_PMOSAN",
         "SW_CRASH_FORK",  "SW_FUZZ_FORK_BRANCH",
         "SW_MEDIA_POISON", "SW_MEDIA_FLIPS", "SW_MEDIA_DROP",

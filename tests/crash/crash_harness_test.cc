@@ -9,6 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "crash/crash_harness.hh"
 #include "runtime/layout.hh"
 
@@ -314,20 +317,37 @@ TEST(CrashExperiment, EnvKnobRunsInjectionInsideRunExperiment)
 {
     // SW_CRASH_POINTS wires injection into every validated
     // experiment; a recoverable design must pass. The env_config
-    // module snapshots the environment on first use, so the knob is
-    // set before anything in this process reads it and stays pinned
-    // at that value for the rest of the process — there is no
-    // re-read after unsetenv (that is the parse-once contract;
-    // see env_config_test.cc for the validation surface).
-    RecordedWorkload recorded = record(WorkloadKind::Queue, 1, 12);
-    ASSERT_EQ(setenv("SW_CRASH_POINTS", "6", 1), 0);
-    EXPECT_EQ(benchCrashPoints(), 6u);
-    RunMetrics metrics =
-        runExperiment(recorded, HwDesign::StrandWeaver,
-                      PersistencyModel::Txn);
-    EXPECT_GT(metrics.runTicks, 0u);
-    ASSERT_EQ(unsetenv("SW_CRASH_POINTS"), 0);
-    EXPECT_EQ(benchCrashPoints(), 6u) << "env is parsed once";
+    // module parses the environment once per process, on first use,
+    // so an earlier test in this binary may already have pinned the
+    // knobs. The check therefore runs in a fresh child process: the
+    // "threadsafe" death-test style re-executes this binary for this
+    // one test, and the child reports what it saw on stderr.
+    testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto child = [] {
+        ASSERT_EQ(setenv("SW_CRASH_POINTS", "6", 1), 0);
+        const unsigned parsed = benchCrashPoints();
+        RecordedWorkload recorded = record(WorkloadKind::Queue, 1, 12);
+        // validate=false skips injection, so the difference in host
+        // events is the injection's own work.
+        RunMetrics plain =
+            runExperiment(recorded, HwDesign::StrandWeaver,
+                          PersistencyModel::Txn, {}, false);
+        RunMetrics injected =
+            runExperiment(recorded, HwDesign::StrandWeaver,
+                          PersistencyModel::Txn);
+        ASSERT_EQ(unsetenv("SW_CRASH_POINTS"), 0);
+        std::fprintf(stderr,
+                     "points=%u injected=%d same_run=%d after_unset=%u\n",
+                     parsed, injected.hostEvents > plain.hostEvents,
+                     injected.runTicks == plain.runTicks &&
+                         plain.runTicks > 0,
+                     benchCrashPoints());
+        std::exit(0);
+    };
+    // after_unset=6: the environment is parsed once, so unsetenv is
+    // invisible to later reads.
+    EXPECT_EXIT(child(), ::testing::ExitedWithCode(0),
+                "points=6 injected=1 same_run=1 after_unset=6");
 }
 
 } // namespace

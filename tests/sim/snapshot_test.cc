@@ -4,7 +4,7 @@
  *
  * The container must fail loudly on every misuse (duplicate keys,
  * missing keys, type confusion), report its contents for the fork-site
- * log lines (keys, approximate bytes), and the Snapshotable default
+ * log lines (keys), and the Snapshotable default
  * implementations must name the offending component — a half-captured
  * machine is worse than no capture at all.
  */
@@ -65,19 +65,6 @@ TEST(SimSnapshot, KeysAreSortedAndComplete)
                                         "system.cpu1"}));
     EXPECT_TRUE(snap.has("system.cpu0"));
     EXPECT_FALSE(snap.has("system.cpu7"));
-}
-
-TEST(SimSnapshot, ApproxBytesCountsContainerPayload)
-{
-    SimSnapshot snap;
-    EXPECT_EQ(snap.approxBytes(), 0u);
-    snap.put("k", std::uint32_t{7});
-    const std::size_t scalarOnly = snap.approxBytes();
-    EXPECT_GE(scalarOnly, sizeof(std::uint32_t) + 1);
-    // A sized container adds at least its element payload.
-    snap.put("v", std::vector<std::uint64_t>(100, 9));
-    EXPECT_GE(snap.approxBytes(),
-              scalarOnly + 100 * sizeof(std::uint64_t));
 }
 
 TEST(Snapshotable, DefaultPanicsNameTheComponent)
