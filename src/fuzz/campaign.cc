@@ -13,7 +13,10 @@ runFuzzCell(const FuzzCellConfig &config)
         FuzzTrialSpec spec = config.base;
         spec.seed = mixSeed(config.seed, i + 1);
 
-        FuzzTrialResult trial = runFuzzTrial(spec);
+        // One context per trial: the trial runs on it and, if it
+        // fails, the shrinker's replays reuse it.
+        const FuzzTrialContext ctx = makeTrialContext(spec);
+        FuzzTrialResult trial = runFuzzTrial(ctx);
         ++result.trials;
         result.pointsChecked += trial.pointsChecked;
         result.queries += trial.queries;
@@ -35,11 +38,8 @@ runFuzzCell(const FuzzCellConfig &config)
         failure.replayDiverged = trial.replayDiverged;
 
         DecisionLog reduced = trial.decisions;
-        if (config.shrink && !trial.replayDiverged) {
-            // Rebuild the context once and reuse it across the
-            // shrinker's replays (the workload recording dominates
-            // per-replay cost otherwise).
-            FuzzTrialContext ctx = makeTrialContext(spec);
+        if (config.shrink && !trial.replayDiverged &&
+            !trial.checkDiverged) {
             ShrinkResult shrunk = shrinkDecisions(
                 ctx, trial.decisions, trial.tornWords,
                 config.shrinkBudget);

@@ -5,6 +5,7 @@
 #include "core/env_config.hh"
 #include "core/observer_util.hh"
 #include "crash/crash_oracle.hh"
+#include "fuzz/incremental_check.hh"
 #include "runtime/instrumentor.hh"
 #include "runtime/recovery.hh"
 #include "sanitizer/pmo_sanitizer.hh"
@@ -134,10 +135,18 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
     auto sys = rig.buildSystem(ctx, &adv);
     RecoveryManager recovery{rig.ip.layout};
     const unsigned programThreads = ctx.recorded.params.numThreads;
+    // Consecutive crash images differ in a few lines: re-check only
+    // the invariant units that read one of them.
+    std::optional<IncrementalInvariants> invariants;
+    if (ctx.recorded.workload)
+        invariants.emplace(*ctx.recorded.workload);
 
-    auto inject = [&](Tick when, bool tearLast) {
+    // An admission point tears the admission that just happened; the
+    // final image of a run is whole and also gets the full invariant
+    // walk, which the incremental verdict must match.
+    auto inject = [&](Tick when, bool atAdmission) {
         MemoryImage snapshot;
-        if (!tearLast || tornWords >= wordsPerLine) {
+        if (!atAdmission || tornWords >= wordsPerLine) {
             snapshot = sys->memory().clonePersisted();
         } else {
             // Tear the admission that just happened: keep only the
@@ -204,11 +213,31 @@ runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
         // quarantined region legitimately leaves the structure
         // partial ("degraded but consistent").
         if (err.empty() && report.verdict == RecoveryVerdict::Full &&
-            ctx.recorded.workload) {
-            auto read = [&snapshot](Addr addr) {
-                return snapshot.readPersisted(addr);
-            };
-            err = ctx.recorded.workload->checkInvariants(read);
+            invariants) {
+            err = invariants->check(snapshot);
+            if (!atAdmission) {
+                auto read = [&snapshot](Addr addr) {
+                    return snapshot.readPersisted(addr);
+                };
+                std::string full =
+                    ctx.recorded.workload->checkInvariants(read);
+                if (full != err) {
+                    // A checker bug, not a recovery bug: its own
+                    // failure class, and it displaces any earlier
+                    // violation, which the same checker reported.
+                    ++outcome.pointsChecked;
+                    ++outcome.pointsFailed;
+                    outcome.failed = true;
+                    outcome.checkDiverged = true;
+                    outcome.crashTick = when;
+                    outcome.violation = sformat(
+                        "incremental invariant check diverged from "
+                        "the full walk: incremental \"{}\", full "
+                        "\"{}\"",
+                        err, full);
+                    return;
+                }
+            }
         }
         ++outcome.pointsChecked;
         if (err.empty())
@@ -368,8 +397,13 @@ replayDecisions(const FuzzTrialContext &ctx, const DecisionLog &log,
 FuzzTrialResult
 runFuzzTrial(const FuzzTrialSpec &spec)
 {
-    FuzzTrialContext ctx = makeTrialContext(spec);
+    return runFuzzTrial(makeTrialContext(spec));
+}
 
+FuzzTrialResult
+runFuzzTrial(const FuzzTrialContext &ctx)
+{
+    const FuzzTrialSpec &spec = ctx.spec;
     FuzzTrialResult result;
     result.workloadSeed = ctx.workloadSeed;
     result.adversarySeed = ctx.adversarySeed;
@@ -432,6 +466,7 @@ runFuzzTrial(const FuzzTrialSpec &spec)
             result.queries = probe.failingQueries;
             result.failingBranch = probe.failingBranch;
             result.failed = confirm.failed;
+            result.checkDiverged = confirm.checkDiverged;
             result.violation = confirm.violation;
             result.crashTick = confirm.crashTick;
             result.pointsChecked = confirm.pointsChecked;
@@ -463,6 +498,7 @@ runFuzzTrial(const FuzzTrialSpec &spec)
         FuzzReplayOutcome outcome = replayDecisions(
             ctx, result.decisions, result.tornWords);
         result.failed = outcome.failed;
+        result.checkDiverged = outcome.checkDiverged;
         result.violation = outcome.violation;
         result.crashTick = outcome.crashTick;
         result.pointsChecked = outcome.pointsChecked;
@@ -504,6 +540,7 @@ runFuzzTrial(const FuzzTrialSpec &spec)
     FuzzReplayOutcome outcome =
         replayDecisions(ctx, result.decisions, result.tornWords);
     result.failed = outcome.failed;
+    result.checkDiverged = outcome.checkDiverged;
     result.violation = outcome.violation;
     result.crashTick = outcome.crashTick;
     result.pointsChecked = outcome.pointsChecked;

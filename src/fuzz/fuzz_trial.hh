@@ -15,10 +15,14 @@
  *     word mask — recovers it with the Figure 6 protocol (paged log
  *     scan, RecoveryScan::Paged) and validates it against the
  *     CrashOracle and the workload's structural invariants. The
- *     persist-trace hash of the replay must equal the recording
- *     run's: any divergence is itself reported as a trial failure
- *     (it would mean the trial is not replayable from (seed, log),
- *     breaking shrinking).
+ *     invariants are checked incrementally (IncrementalInvariants:
+ *     only the units that read a line changed since the previous
+ *     checked image); every final image also gets the full walk, and
+ *     a disagreement fails the trial as its own class
+ *     (checkDiverged). The persist-trace hash of the replay must
+ *     equal the recording run's: any divergence is itself reported
+ *     as a trial failure (it would mean the trial is not replayable
+ *     from (seed, log), breaking shrinking).
  *
  * replayDecisions() is the shrinker's predicate: because the
  * adversary treats queries without a log entry as "proceed", any
@@ -29,6 +33,7 @@
 #define FUZZ_FUZZ_TRIAL_HH
 
 #include <optional>
+#include <string>
 
 #include "core/experiment.hh"
 #include "crash/media_faults.hh"
@@ -124,6 +129,9 @@ struct FuzzReplayOutcome
     unsigned pointsFailed = 0;
     /** FNV-1a hash of the persist trace (replay-divergence check). */
     std::uint64_t traceHash = 0;
+    /** True when the incremental invariant verdict on a final image
+     * differed from the full walk (then violation says so). */
+    bool checkDiverged = false;
     Tick endTick = 0;
     /** Kernel events serviced by the replay run (host observability). */
     std::uint64_t hostEvents = 0;
@@ -150,6 +158,10 @@ struct FuzzTrialResult
     std::uint64_t traceHash = 0;
     /** True when record and replay persist traces diverged. */
     bool replayDiverged = false;
+    /** True when the incremental invariant check disagreed with the
+     * full walk on a final image: a checker bug, reported as its own
+     * failure class. */
+    bool checkDiverged = false;
     /** Extra schedule suffixes explored from mid-run snapshots. */
     unsigned branchesExplored = 0;
     /** 0 = the main schedule; else the 1-based failing branch. */
@@ -175,7 +187,14 @@ FuzzReplayOutcome replayDecisions(const FuzzTrialContext &ctx,
                                   const DecisionLog &log,
                                   unsigned tornWords);
 
-/** Run one complete trial (record, then replay with injection). */
+/**
+ * Run one complete trial (record, then replay with injection) on a
+ * context from makeTrialContext(), which a failing trial's shrinker
+ * can reuse.
+ */
+FuzzTrialResult runFuzzTrial(const FuzzTrialContext &ctx);
+
+/** runFuzzTrial() on a fresh makeTrialContext(@p spec). */
 FuzzTrialResult runFuzzTrial(const FuzzTrialSpec &spec);
 
 } // namespace strand

@@ -14,9 +14,11 @@
 #ifndef MEM_MEMORY_IMAGE_HH
 #define MEM_MEMORY_IMAGE_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -56,17 +58,26 @@ struct LineData
 };
 
 /**
- * Sparse word storage, page-granular.
+ * Sparse word storage, page-granular and copy-on-write.
  *
- * Words live in fixed-size pages (512 words / 4 KiB of data) keyed by
- * page base address, each with an occupancy bitmap distinguishing
- * written words from the implicit zero background. Compared to a
- * per-word hash map this costs one hash probe per *page* on the
- * line-granular paths (snapshot, persist) and — the reason it exists —
- * makes whole-image copies a handful of page memcpys instead of a
- * rehash of every word ever written. Cache lines never span pages
- * (pageBytes is a multiple of lineBytes), so line operations touch
- * exactly one page.
+ * Words live in fixed-size pages (512 words / 4 KiB of data), each
+ * with an occupancy bitmap distinguishing written words from the
+ * implicit zero background. Compared to a per-word hash map this
+ * costs one hash probe per *page* on the line-granular paths
+ * (snapshot, persist). Cache lines never span pages (pageBytes is a
+ * multiple of lineBytes), so line operations touch exactly one page.
+ *
+ * Pages are held by shared pointer in chunks of pagesPerChunk
+ * consecutive pages, and the chunks by shared pointer in a hash map
+ * keyed by chunk base address. A copy of the store (a crash clone, a
+ * clone's architectural view, a System snapshot) copies that map and
+ * shares every chunk and page, as CacheArray shares tag pages. The
+ * store copies a chunk and then a page the first time it writes to
+ * them while anyone else still holds them, so an untouched page is
+ * never copied and a write copies at most one page. Sharing is
+ * decided by reference counts, which only mean something to the
+ * thread that owns the store: a store and every copy of it belong to
+ * one thread.
  */
 class WordStore
 {
@@ -76,13 +87,21 @@ class WordStore
         static_cast<Addr>(pageWords) * wordBytes;
     static_assert(pageBytes % lineBytes == 0,
                   "lines must not span pages");
+    /** Pages per chunk: 64 pages span 256 KiB, so an nstore-sized
+     * image (about 1.3 MiB) is a handful of chunks. */
+    static constexpr unsigned pagesPerChunk = 64;
+    static constexpr Addr chunkBytes = pagesPerChunk * pageBytes;
 
     struct Page
     {
+        /** Unwritten words hold zero, so values compare directly. */
         std::array<std::uint64_t, pageWords> words{};
         /** Bit w set means words[w] has been written. */
         std::array<std::uint64_t, pageWords / 64> occupancy{};
     };
+
+    /** pagesPerChunk page slots; an absent page reads as zero. */
+    using Chunk = std::array<std::shared_ptr<Page>, pagesPerChunk>;
 
     /** @return the base address of the page holding @p wordAddr. */
     static Addr
@@ -105,7 +124,7 @@ class WordStore
         return (page.occupancy[slot >> 6] >> (slot & 63)) & 1;
     }
 
-    /** Write one slot of @p page, maintaining the word count. */
+    /** Write one slot of @p page, which touchPage() returned. */
     void
     setSlot(Page &page, unsigned slot, std::uint64_t value)
     {
@@ -116,10 +135,22 @@ class WordStore
         page.words[slot] = value;
     }
 
+    /** Return one slot of @p page, which touchPage() returned, to
+     * the never-written zero background. */
+    void
+    clearSlot(Page &page, unsigned slot)
+    {
+        if (!occupied(page, slot))
+            return;
+        page.occupancy[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+        page.words[slot] = 0;
+        --occupiedWords;
+    }
+
     void
     set(Addr wordAddr, std::uint64_t value)
     {
-        setSlot(pages[pageBase(wordAddr)], slotOf(wordAddr), value);
+        setSlot(touchPage(wordAddr), slotOf(wordAddr), value);
     }
 
     /** @return the word's value, or 0 if never written. */
@@ -139,35 +170,28 @@ class WordStore
         return page && occupied(*page, slotOf(wordAddr));
     }
 
-    void
-    erase(Addr wordAddr)
-    {
-        auto it = pages.find(pageBase(wordAddr));
-        if (it == pages.end())
-            return;
-        unsigned slot = slotOf(wordAddr);
-        if (!occupied(it->second, slot))
-            return;
-        it->second.occupancy[slot >> 6] &=
-            ~(std::uint64_t{1} << (slot & 63));
-        // Restore the zero background so get() stays consistent.
-        it->second.words[slot] = 0;
-        --occupiedWords;
-    }
-
-    /** @return the page holding @p wordAddr, or nullptr. */
+    /** @return the page holding @p wordAddr, or nullptr. Never
+     * copies. */
     const Page *
     findPage(Addr wordAddr) const
     {
-        auto it = pages.find(pageBase(wordAddr));
-        return it == pages.end() ? nullptr : &it->second;
+        auto it = chunks.find(chunkBase(wordAddr));
+        return it == chunks.end()
+                   ? nullptr
+                   : (*it->second)[pageIndex(wordAddr)].get();
     }
 
-    /** @return the page holding @p wordAddr, creating it if absent. */
+    /**
+     * @return the page holding @p wordAddr, private to this store:
+     * created if absent, copied (with its chunk) if another store
+     * still holds it.
+     */
     Page &
     touchPage(Addr wordAddr)
     {
-        return pages[pageBase(wordAddr)];
+        std::shared_ptr<Page> &page =
+            privatize(chunks[chunkBase(wordAddr)])[pageIndex(wordAddr)];
+        return privatize(page);
     }
 
     /** Number of written words across all pages. */
@@ -178,16 +202,99 @@ class WordStore
     void
     forEach(Visit &&visit) const
     {
-        for (const auto &[base, page] : pages) {
-            for (unsigned slot = 0; slot < pageWords; ++slot) {
-                if (occupied(page, slot))
-                    visit(base + slot * wordBytes, page.words[slot]);
+        for (const auto &[base, chunk] : chunks) {
+            for (unsigned p = 0; p < pagesPerChunk; ++p) {
+                const Page *page = (*chunk)[p].get();
+                if (!page)
+                    continue;
+                const Addr pageAddr = base + p * pageBytes;
+                for (unsigned slot = 0; slot < pageWords; ++slot) {
+                    if (occupied(*page, slot))
+                        visit(pageAddr + slot * wordBytes,
+                              page->words[slot]);
+                }
             }
         }
     }
 
+    /**
+     * Call @p visit(lineAddr) once for every line holding a word
+     * whose value differs between this store and @p other, reading
+     * unwritten words as zero (occupancy alone is no difference).
+     * Chunks and pages the two stores share are skipped unread, so
+     * the cost scales with what either store wrote since they last
+     * shared it. Unordered.
+     */
+    template <typename Visit>
+    void
+    forEachChangedLine(const WordStore &other, Visit &&visit) const
+    {
+        static const Chunk none{};
+        for (const auto &[base, chunk] : chunks) {
+            auto it = other.chunks.find(base);
+            const Chunk *theirs =
+                it == other.chunks.end() ? &none : it->second.get();
+            if (theirs != chunk.get())
+                diffChunk(base, *chunk, *theirs, visit);
+        }
+        for (const auto &[base, chunk] : other.chunks) {
+            if (!chunks.count(base))
+                diffChunk(base, none, *chunk, visit);
+        }
+    }
+
   private:
-    std::unordered_map<Addr, Page> pages;
+    static constexpr unsigned linesPerPage = pageBytes / lineBytes;
+
+    static Addr
+    chunkBase(Addr wordAddr)
+    {
+        return wordAddr & ~(chunkBytes - 1);
+    }
+
+    static unsigned
+    pageIndex(Addr wordAddr)
+    {
+        return static_cast<unsigned>((wordAddr & (chunkBytes - 1)) /
+                                     pageBytes);
+    }
+
+    /** Make @p slot's target private to this store: allocate it if
+     * absent, copy it if anyone else holds it. */
+    template <typename T>
+    static T &
+    privatize(std::shared_ptr<T> &slot)
+    {
+        if (!slot)
+            slot = std::make_shared<T>();
+        else if (slot.use_count() != 1)
+            slot = std::make_shared<T>(*slot);
+        return *slot;
+    }
+
+    /** forEachChangedLine() over one chunk's pages. */
+    template <typename Visit>
+    static void
+    diffChunk(Addr base, const Chunk &a, const Chunk &b, Visit &visit)
+    {
+        static const Page zero{};
+        for (unsigned p = 0; p < pagesPerChunk; ++p) {
+            if (a[p] == b[p])
+                continue;
+            const Page &pa = a[p] ? *a[p] : zero;
+            const Page &pb = b[p] ? *b[p] : zero;
+            const Addr pageAddr = base + p * pageBytes;
+            for (unsigned line = 0; line < linesPerPage; ++line) {
+                const unsigned slot = line * wordsPerLine;
+                if (!std::equal(pa.words.begin() + slot,
+                                pa.words.begin() + slot + wordsPerLine,
+                                pb.words.begin() + slot))
+                    visit(pageAddr + line * lineBytes);
+            }
+        }
+    }
+
+    std::unordered_map<Addr, std::shared_ptr<Chunk>> chunks;
     std::size_t occupiedWords = 0;
 };
 
@@ -340,7 +447,10 @@ class MemoryImage
      * views of the clone hold exactly what had reached the ADR
      * domain. The crash-injection harness snapshots the running
      * system this way at every crash point, then runs recovery on
-     * the clone while the original run continues undisturbed.
+     * the clone while the original run continues undisturbed. Both
+     * views share the source's persisted pages (WordStore), so a
+     * clone costs two page tables; recovery's writes copy only the
+     * pages they touch.
      */
     MemoryImage
     clonePersisted() const
@@ -365,20 +475,9 @@ class MemoryImage
     clonePersistedTorn(std::uint8_t admitMask) const
     {
         MemoryImage snapshot = clonePersisted();
-        for (unsigned i = 0; i < wordsPerLine; ++i) {
-            if (!(lastAdmission.writtenMask & (1u << i)) ||
-                (admitMask & (1u << i))) {
-                continue;
-            }
-            Addr wa = lastAdmission.lineAddr + i * wordBytes;
-            if (lastAdmission.prevValidMask & (1u << i)) {
-                snapshot.persisted.set(wa, lastAdmission.prevWords[i]);
-                snapshot.arch.set(wa, lastAdmission.prevWords[i]);
-            } else {
-                snapshot.persisted.erase(wa);
-                snapshot.arch.erase(wa);
-            }
-        }
+        const std::uint8_t torn = lastAdmission.writtenMask & ~admitMask;
+        revertWords(snapshot.persisted, lastAdmission, torn);
+        revertWords(snapshot.arch, lastAdmission, torn);
         return snapshot;
     }
 
@@ -421,18 +520,8 @@ class MemoryImage
     void
     undoAdmission(const AdmissionUndo &undo)
     {
-        for (unsigned i = 0; i < wordsPerLine; ++i) {
-            if (!(undo.writtenMask & (1u << i)))
-                continue;
-            Addr wa = undo.lineAddr + i * wordBytes;
-            if (undo.prevValidMask & (1u << i)) {
-                persisted.set(wa, undo.prevWords[i]);
-                arch.set(wa, undo.prevWords[i]);
-            } else {
-                persisted.erase(wa);
-                arch.erase(wa);
-            }
-        }
+        revertWords(persisted, undo, undo.writtenMask);
+        revertWords(arch, undo, undo.writtenMask);
     }
 
     /**
@@ -536,6 +625,20 @@ class MemoryImage
         return persisted.findPage(wordAlign(addr));
     }
 
+    /**
+     * Call @p visit(lineAddr) once for every line whose persisted
+     * words differ between this image and @p other (see
+     * WordStore::forEachChangedLine): what readPersisted() can tell
+     * apart. Pages the two images share are skipped unread.
+     */
+    template <typename Visit>
+    void
+    forEachChangedPersistedLine(const MemoryImage &other,
+                                Visit &&visit) const
+    {
+        persisted.forEachChangedLine(other.persisted, visit);
+    }
+
     /** Walk every persisted word (unordered). */
     void
     forEachPersisted(
@@ -548,6 +651,32 @@ class MemoryImage
     std::size_t persistedWords() const { return persisted.size(); }
 
   private:
+    /**
+     * Revert the words of @p undo's line selected by @p mask in
+     * @p store to their pre-admission value, or to the never-written
+     * background. One page lookup (and at most one page copy) per
+     * line; a line that only loses words on an absent page is left
+     * alone.
+     */
+    static void
+    revertWords(WordStore &store, const AdmissionUndo &undo,
+                std::uint8_t mask)
+    {
+        if (mask == 0 ||
+            (!(mask & undo.prevValidMask) && !store.findPage(undo.lineAddr)))
+            return;
+        WordStore::Page &page = store.touchPage(undo.lineAddr);
+        const unsigned base = WordStore::slotOf(undo.lineAddr);
+        for (unsigned i = 0; i < wordsPerLine; ++i) {
+            if (!(mask & (1u << i)))
+                continue;
+            if (undo.prevValidMask & (1u << i))
+                store.setSlot(page, base + i, undo.prevWords[i]);
+            else
+                store.clearSlot(page, base + i);
+        }
+    }
+
     void
     pushAdmission(const AdmissionUndo &undo)
     {

@@ -23,7 +23,8 @@ class ArraySwapWorkload : public Workload
     void record(TraceRecorder &rec, PersistentHeap &heap,
                 const WorkloadParams &params) override;
 
-    std::string checkInvariants(
+    std::string checkUnit(
+        std::size_t unit,
         const std::function<std::uint64_t(Addr)> &read) const override;
 
   private:

@@ -102,24 +102,25 @@ HashmapWorkload::record(TraceRecorder &rec, PersistentHeap &heap,
 }
 
 std::string
-HashmapWorkload::checkInvariants(
+HashmapWorkload::checkUnit(
+    std::size_t unit,
     const std::function<std::uint64_t(Addr)> &read) const
 {
-    for (std::uint64_t b = 0; b < numBuckets; ++b) {
-        Addr node = read(bucketAddr(b));
-        std::uint64_t steps = 0;
-        while (node != 0) {
-            if (++steps > maxNodes)
-                return "hashmap chain does not terminate";
-            std::uint64_t key = read(node + keyField);
-            if (key == 0 || key > keySpace)
-                return "hashmap key out of range";
-            if (hashKey(key) % numBuckets != b)
-                return "hashmap node in wrong bucket";
-            if (read(node + valueField) == 0)
-                return "hashmap value missing";
-            node = read(node + nextField);
-        }
+    // One unit per bucket chain.
+    const std::uint64_t b = unit;
+    Addr node = read(bucketAddr(b));
+    std::uint64_t steps = 0;
+    while (node != 0) {
+        if (++steps > maxNodes)
+            return "hashmap chain does not terminate";
+        std::uint64_t key = read(node + keyField);
+        if (key == 0 || key > keySpace)
+            return "hashmap key out of range";
+        if (hashKey(key) % numBuckets != b)
+            return "hashmap node in wrong bucket";
+        if (read(node + valueField) == 0)
+            return "hashmap value missing";
+        node = read(node + nextField);
     }
     return {};
 }

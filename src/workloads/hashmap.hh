@@ -22,7 +22,11 @@ class HashmapWorkload : public Workload
     void record(TraceRecorder &rec, PersistentHeap &heap,
                 const WorkloadParams &params) override;
 
-    std::string checkInvariants(
+    /** One unit per bucket chain. */
+    std::size_t invariantUnits() const override { return numBuckets; }
+
+    std::string checkUnit(
+        std::size_t unit,
         const std::function<std::uint64_t(Addr)> &read) const override;
 
   private:

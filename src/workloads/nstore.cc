@@ -110,32 +110,31 @@ NStoreWorkload::record(TraceRecorder &rec, PersistentHeap &heap,
 }
 
 std::string
-NStoreWorkload::checkInvariants(
+NStoreWorkload::checkUnit(
+    std::size_t unit,
     const std::function<std::uint64_t(Addr)> &read) const
 {
-    for (std::uint64_t b = 0; b < numBuckets; ++b) {
-        Addr tuple = read(bucketAddr(b));
-        std::uint64_t steps = 0;
-        while (tuple != 0) {
-            if (++steps > maxNodes)
-                return "nstore chain does not terminate";
-            std::uint64_t key = read(tuple + keyField);
-            if (key == 0 || key > keySpace)
-                return "nstore key out of range";
-            if (hashKey(key) % numBuckets != b)
-                return "nstore tuple in wrong bucket";
-            // Tuple payload words move in lock step (all updated
-            // atomically): w-th word minus w must be constant.
-            std::uint64_t base = read(tuple + valueField) -
-                                 0; // first word
-            for (unsigned w = 1; w < valueWords; ++w) {
-                std::uint64_t v =
-                    read(tuple + valueField + w * wordBytes);
-                if (v - w != base)
-                    return "nstore tuple payload torn";
-            }
-            tuple = read(tuple + nextField);
+    // One unit per bucket chain.
+    const std::uint64_t b = unit;
+    Addr tuple = read(bucketAddr(b));
+    std::uint64_t steps = 0;
+    while (tuple != 0) {
+        if (++steps > maxNodes)
+            return "nstore chain does not terminate";
+        std::uint64_t key = read(tuple + keyField);
+        if (key == 0 || key > keySpace)
+            return "nstore key out of range";
+        if (hashKey(key) % numBuckets != b)
+            return "nstore tuple in wrong bucket";
+        // Tuple payload words move in lock step (all updated
+        // atomically): w-th word minus w must be constant.
+        std::uint64_t base = read(tuple + valueField);
+        for (unsigned w = 1; w < valueWords; ++w) {
+            std::uint64_t v = read(tuple + valueField + w * wordBytes);
+            if (v - w != base)
+                return "nstore tuple payload torn";
         }
+        tuple = read(tuple + nextField);
     }
     return {};
 }

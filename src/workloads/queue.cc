@@ -64,9 +64,11 @@ QueueWorkload::record(TraceRecorder &rec, PersistentHeap &heap,
 }
 
 std::string
-QueueWorkload::checkInvariants(
+QueueWorkload::checkUnit(
+    std::size_t unit,
     const std::function<std::uint64_t(Addr)> &read) const
 {
+    (void)unit; // one unit: the whole structure
     Addr head = read(headPtr);
     Addr tail = read(tailPtr);
     if (head == 0 || tail == 0)

@@ -34,6 +34,18 @@ workloadName(WorkloadKind kind)
     return "?";
 }
 
+std::string
+Workload::checkInvariants(
+    const std::function<std::uint64_t(Addr)> &read) const
+{
+    for (std::size_t unit = 0; unit < invariantUnits(); ++unit) {
+        std::string problem = checkUnit(unit, read);
+        if (!problem.empty())
+            return problem;
+    }
+    return {};
+}
+
 std::unique_ptr<Workload>
 makeWorkload(WorkloadKind kind)
 {

@@ -81,11 +81,30 @@ class Workload
      * balance) against a value reader. Used both on the functional
      * state and on the recovered persisted state.
      * @param read Function returning the 64-bit word at an address.
+     * @return empty string if consistent, else the description of
+     * the first failing unit (see checkUnit()), in unit order.
+     */
+    std::string
+    checkInvariants(const std::function<std::uint64_t(Addr)> &read) const;
+
+    /**
+     * Number of independent invariant units: one per bucket chain
+     * for the hashed stores, one for the whole structure elsewhere.
+     */
+    virtual std::size_t invariantUnits() const { return 1; }
+
+    /**
+     * Check one invariant unit. A unit's verdict must be a pure
+     * function of the words it reads through @p read (and of the
+     * recorded workload): an incremental checker re-checks a unit
+     * only when a line it read last time has changed.
      * @return empty string if consistent, else a description.
      */
     virtual std::string
-    checkInvariants(const std::function<std::uint64_t(Addr)> &read) const
+    checkUnit(std::size_t unit,
+              const std::function<std::uint64_t(Addr)> &read) const
     {
+        (void)unit;
         (void)read;
         return {};
     }

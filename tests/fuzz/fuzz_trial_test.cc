@@ -61,6 +61,30 @@ TEST(FuzzTrial, TrialsAreSeedDeterministic)
     EXPECT_FALSE(first.failed) << first.violation;
 }
 
+TEST(FuzzTrial, TrialOnAContextMatchesTrialOnItsSpec)
+{
+    // runFuzzCell records each trial's workload once and hands the
+    // context to both the trial and the shrinker; the trial must not
+    // care which way it got its context. A failing NON-ATOMIC nstore
+    // trial also runs the incremental invariant checks.
+    FuzzTrialSpec spec = lightSpec();
+    spec.kind = WorkloadKind::NStoreBalanced;
+    spec.design = HwDesign::NonAtomic;
+    const FuzzTrialContext ctx = makeTrialContext(spec);
+    FuzzTrialResult onSpec = runFuzzTrial(spec);
+    FuzzTrialResult onContext = runFuzzTrial(ctx);
+    EXPECT_EQ(onContext.decisions, onSpec.decisions);
+    EXPECT_EQ(onContext.tornWords, onSpec.tornWords);
+    EXPECT_EQ(onContext.traceHash, onSpec.traceHash);
+    EXPECT_EQ(onContext.failed, onSpec.failed);
+    EXPECT_EQ(onContext.violation, onSpec.violation);
+    EXPECT_EQ(onContext.crashTick, onSpec.crashTick);
+    EXPECT_EQ(onContext.pointsChecked, onSpec.pointsChecked);
+    EXPECT_EQ(onContext.pointsFailed, onSpec.pointsFailed);
+    EXPECT_FALSE(onContext.checkDiverged) << onContext.violation;
+    EXPECT_GT(onContext.pointsChecked, 0u);
+}
+
 TEST(FuzzTrial, ReplayingOneLogIsReproducible)
 {
     FuzzTrialContext ctx = makeTrialContext(lightSpec());

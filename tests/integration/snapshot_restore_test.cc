@@ -11,11 +11,14 @@
  * lowering and the sanitizer attached.
  *
  * A second System without the capture observer runs alongside to show
- * the capture machinery itself does not perturb the schedule.
+ * the capture machinery itself does not perturb the schedule. The
+ * capture shares memory-image pages with the live machine; one test
+ * checks that later traffic never writes through to it.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -230,6 +233,62 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+/** Every persisted word, and the architectural value of each. */
+std::map<Addr, std::pair<std::uint64_t, std::uint64_t>>
+imageWords(const MemoryImage &img)
+{
+    std::map<Addr, std::pair<std::uint64_t, std::uint64_t>> words;
+    img.forEachPersisted([&](Addr addr, std::uint64_t value) {
+        words[addr] = {value, img.readArch(addr)};
+    });
+    return words;
+}
+
+TEST(SnapshotRestoreImage, CapturedImageStaysIsolatedFromLaterTraffic)
+{
+    // The capture shares the image's pages with the live machine.
+    // Traffic after the capture, and after a restore from it, must
+    // copy a page before writing it and never reach the capture.
+    Rig rig(HwDesign::StrandWeaver, PersistencyModel::Sfr);
+    auto sys = rig.buildSystem();
+    SimSnapshot snap;
+    std::map<Addr, std::pair<std::uint64_t, std::uint64_t>> atCapture;
+    std::size_t archAtCapture = 0;
+    unsigned admissions = 0;
+    AdmissionCallback capturer([&](const PersistRecord &rec) {
+        if (++admissions != 8)
+            return;
+        sys->eventQueue().schedule(
+            rec.when,
+            [&] {
+                snap = sys->snapshot();
+                atCapture = imageWords(sys->memory());
+                archAtCapture = sys->memory().archWords();
+            },
+            EventPriority::Stat);
+    });
+    sys->addObserver(&capturer);
+    sys->run();
+    ASSERT_GT(snap.size(), 0u);
+    const auto finalWords = imageWords(sys->memory());
+    ASSERT_NE(finalWords, atCapture) << "no traffic after the capture";
+
+    const MemoryImage &captured = snap.get<MemoryImage>("system.image");
+    EXPECT_EQ(imageWords(captured), atCapture)
+        << "live traffic wrote through to the capture";
+    EXPECT_EQ(captured.archWords(), archAtCapture);
+
+    sys->removeObserver(&capturer);
+    sys->restore(snap);
+    EXPECT_EQ(imageWords(sys->memory()), atCapture);
+    sys->run();
+    EXPECT_EQ(imageWords(sys->memory()), finalWords)
+        << "the restored run must end on the uninterrupted image";
+    EXPECT_EQ(imageWords(captured), atCapture)
+        << "traffic after a restore wrote through to the capture";
+    EXPECT_EQ(captured.archWords(), archAtCapture);
+}
 
 TEST(SnapshotRestoreRedo, RedoLoweringRoundTrips)
 {

@@ -2,13 +2,58 @@
  * @file
  * Unit tests for the functional memory image: architectural vs
  * persisted views, line snapshots, and crash semantics.
+ *
+ * The copy-on-write tests at the end check that copies of an image
+ * share its pages, that every writer copies a shared page before
+ * writing it (in both directions: clone to source and source to
+ * clone), and count the bytes a clone and its first write allocate
+ * through a replaced operator new.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <functional>
 #include <map>
+#include <new>
+#include <set>
+#include <vector>
 
 #include "mem/memory_image.hh"
+
+namespace
+{
+
+/** Bytes requested from every global operator new in this binary. */
+std::atomic<std::uint64_t> heapBytes{0};
+
+} // namespace
+
+void *
+operator new(std::size_t size)
+{
+    heapBytes.fetch_add(size, std::memory_order_relaxed);
+    if (void *p = std::malloc(size ? size : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+// Out of line, so the compiler does not pair an inlined free() with
+// an inlined operator new at a call site and warn about a mismatch.
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 namespace strand
 {
@@ -256,8 +301,8 @@ TEST(WordStore, TornCloneMatchesWordMapSemanticsOnPagedStore)
     EXPECT_EQ(tornLow.readPersisted(line + 8), 0u);
     EXPECT_EQ(tornLow.persistedWords(), 1u);
 
-    // Clones deep-copy pages: writing the clone leaves the source
-    // image untouched.
+    // Clones share pages copy-on-write: writing the clone leaves the
+    // source image untouched.
     torn.writeDurable(line + 16, 77);
     EXPECT_FALSE(img.persistedContains(line + 16));
 }
@@ -483,6 +528,295 @@ TEST(MemoryImage, OverlappingPersistsLastWriterWins)
     // image records whatever order the timing model produced.
     img.persistLine(first);
     EXPECT_EQ(img.readPersisted(pmLine), 1u);
+}
+
+/** Both views of an image, deep-copied out for comparison. */
+struct Views
+{
+    std::map<Addr, std::uint64_t> persisted;
+    std::map<Addr, std::uint64_t> arch;
+    std::set<Addr> poisoned;
+
+    bool operator==(const Views &) const = default;
+};
+
+/**
+ * Deep copy of @p img: every persisted word, and the architectural
+ * words at the persisted addresses and at @p extra.
+ */
+Views
+viewsOf(const MemoryImage &img, const std::vector<Addr> &extra = {})
+{
+    Views v;
+    img.forEachPersisted([&v](Addr addr, std::uint64_t value) {
+        v.persisted[addr] = value;
+    });
+    std::vector<Addr> archAddrs = extra;
+    for (const auto &[addr, value] : v.persisted)
+        archAddrs.push_back(addr);
+    for (Addr addr : archAddrs) {
+        if (img.archContains(addr))
+            v.arch[addr] = img.readArch(addr);
+    }
+    v.poisoned = img.poisonedLines();
+    return v;
+}
+
+/** Two pages, each with a few durable lines, plus the edge lines. */
+MemoryImage
+twoPageImage()
+{
+    MemoryImage img;
+    const Addr edge = pmBase + 4 * WordStore::pageBytes;
+    for (Addr line : {edge - 2 * lineBytes, edge - lineBytes, edge,
+                      edge + lineBytes}) {
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            img.writeArch(line + w * wordBytes, line + w + 1);
+        img.persistLine(img.snapshotLine(line));
+    }
+    return img;
+}
+
+/** Addresses the isolation tests write, for viewsOf(). */
+std::vector<Addr>
+touchedAddrs()
+{
+    const Addr edge = pmBase + 4 * WordStore::pageBytes;
+    std::vector<Addr> addrs;
+    for (Addr line = edge - 2 * lineBytes; line < edge + 2 * lineBytes;
+         line += lineBytes)
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            addrs.push_back(line + w * wordBytes);
+    return addrs;
+}
+
+/**
+ * Apply @p edit to a copy of a shared image, then to the source, and
+ * check that each side sees only its own edit.
+ */
+void
+expectIsolatedBothWays(
+    const std::function<MemoryImage(const MemoryImage &)> &copy,
+    const std::function<void(MemoryImage &)> &edit, const char *what)
+{
+    const std::vector<Addr> addrs = touchedAddrs();
+    MemoryImage source = twoPageImage();
+    MemoryImage clone = copy(source);
+    const Views sourceBefore = viewsOf(source, addrs);
+    const Views cloneBefore = viewsOf(clone, addrs);
+
+    // Clone to source: the clone's edit must not reach the source.
+    edit(clone);
+    const Views cloneEdited = viewsOf(clone, addrs);
+    EXPECT_NE(cloneEdited, cloneBefore) << what << ": edit was a no-op";
+    EXPECT_EQ(viewsOf(source, addrs), sourceBefore)
+        << what << ": clone's edit reached the source";
+
+    // Source to clone: on a fresh pair, the source's edit must not
+    // reach the clone.
+    MemoryImage source2 = twoPageImage();
+    MemoryImage clone2 = copy(source2);
+    const Views clone2Before = viewsOf(clone2, addrs);
+    edit(source2);
+    EXPECT_EQ(viewsOf(clone2, addrs), clone2Before)
+        << what << ": source's edit reached the clone";
+}
+
+const std::function<MemoryImage(const MemoryImage &)> plainCopy =
+    [](const MemoryImage &img) { return img; };
+const std::function<MemoryImage(const MemoryImage &)> persistedClone =
+    [](const MemoryImage &img) { return img.clonePersisted(); };
+
+TEST(WordStoreCow, SetAndClearStayIsolatedBothWays)
+{
+    WordStore source;
+    const Addr a = pmBase + 3 * WordStore::pageBytes - wordBytes;
+    const Addr b = pmBase + 3 * WordStore::pageBytes;
+    auto clear = [](WordStore &store, Addr addr) {
+        store.clearSlot(store.touchPage(addr), WordStore::slotOf(addr));
+    };
+    source.set(a, 1);
+    source.set(b, 2);
+    WordStore copy = source;
+
+    copy.set(a, 10);
+    clear(copy, b);
+    EXPECT_EQ(source.get(a), 1u);
+    EXPECT_EQ(source.get(b), 2u);
+    EXPECT_EQ(source.size(), 2u);
+    EXPECT_EQ(copy.get(a), 10u);
+    EXPECT_FALSE(copy.contains(b));
+    EXPECT_EQ(copy.size(), 1u);
+
+    clear(source, a);
+    source.set(b, 20);
+    EXPECT_EQ(copy.get(a), 10u);
+    EXPECT_FALSE(copy.contains(b));
+    EXPECT_FALSE(source.contains(a));
+    EXPECT_EQ(source.get(b), 20u);
+}
+
+TEST(WordStoreCow, EditsStayIsolatedBothWays)
+{
+    const Addr edge = pmBase + 4 * WordStore::pageBytes;
+    for (const auto &copy : {plainCopy, persistedClone}) {
+        expectIsolatedBothWays(
+            copy,
+            [edge](MemoryImage &img) {
+                img.writeArch(edge, 99);
+                img.writeDurable(edge - lineBytes, 98);
+            },
+            "writeArch/writeDurable");
+        expectIsolatedBothWays(
+            copy,
+            [edge](MemoryImage &img) {
+                img.writeArch(edge - lineBytes + 8, 97);
+                img.persistLine(img.snapshotLine(edge - lineBytes));
+            },
+            "persistLine");
+        // A clone has no admission history of its own; undo the
+        // source's newest admission on either side.
+        const MemoryImage::AdmissionUndo newest =
+            twoPageImage().recentAdmissions().back();
+        expectIsolatedBothWays(
+            copy,
+            [newest](MemoryImage &img) { img.undoAdmission(newest); },
+            "undoAdmission");
+        expectIsolatedBothWays(
+            copy, [edge](MemoryImage &img) { img.poisonLine(edge); },
+            "poisonLine");
+        expectIsolatedBothWays(
+            copy,
+            [edge](MemoryImage &img) {
+                img.corruptWord(edge - wordBytes, 1ull << 5);
+            },
+            "corruptWord");
+    }
+}
+
+TEST(WordStoreCow, TornCloneAcrossAPageEdgeStaysIsolated)
+{
+    // The newest admission is the first line of the upper page; a
+    // torn clone reverts and erases words there while the lower page
+    // stays shared.
+    const std::vector<Addr> addrs = touchedAddrs();
+    const Addr edge = pmBase + 4 * WordStore::pageBytes;
+    MemoryImage source = twoPageImage();
+    source.writeArch(edge, 500);
+    source.writeArch(edge + lineBytes - wordBytes, 501);
+    source.persistLine(source.snapshotLine(edge));
+    const Views sourceBefore = viewsOf(source, addrs);
+
+    MemoryImage torn = source.clonePersistedTorn(0b1000'0000);
+    EXPECT_EQ(torn.readPersisted(edge), edge + 1);
+    EXPECT_EQ(torn.readPersisted(edge + lineBytes - wordBytes), 501u);
+    EXPECT_EQ(viewsOf(source, addrs), sourceBefore)
+        << "tearing the clone reached the source";
+
+    // Later traffic on the source, on both sides of the edge, must
+    // not reach the torn clone.
+    const Views tornBefore = viewsOf(torn, addrs);
+    source.writeDurable(edge - wordBytes, 600);
+    source.writeArch(edge + 8, 601);
+    source.persistLine(source.snapshotLine(edge));
+    EXPECT_EQ(viewsOf(torn, addrs), tornBefore)
+        << "source traffic reached the torn clone";
+}
+
+/** An image the size of nstore's: 4096 bucket lines and 16384
+ * 64-byte tuples, durable. */
+MemoryImage
+nstoreSizedImage()
+{
+    MemoryImage img;
+    const Addr heap = pmBase + 0x100000;
+    const unsigned lines = 4096 + 16384;
+    for (unsigned l = 0; l < lines; ++l) {
+        const Addr line = heap + static_cast<Addr>(l) * lineBytes;
+        for (unsigned w = 0; w < wordsPerLine; ++w)
+            img.writeDurable(line + w * wordBytes, l * 8 + w + 1);
+    }
+    return img;
+}
+
+TEST(WordStoreCow, CloneAllocatesLessThanOnePage)
+{
+    const MemoryImage img = nstoreSizedImage();
+    ASSERT_EQ(img.persistedWords(), (4096u + 16384u) * wordsPerLine);
+
+    std::uint64_t before = heapBytes.load();
+    MemoryImage clone = img.clonePersisted();
+    EXPECT_LT(heapBytes.load() - before, sizeof(WordStore::Page))
+        << "a clone must share pages, not copy them";
+
+    before = heapBytes.load();
+    MemoryImage copy = img;
+    EXPECT_LT(heapBytes.load() - before, sizeof(WordStore::Page));
+    EXPECT_EQ(clone.readPersisted(pmBase + 0x100000), 1u);
+    EXPECT_EQ(copy.persistedWords(), img.persistedWords());
+}
+
+TEST(WordStoreCow, FirstWriteAfterACloneCopiesExactlyOnePage)
+{
+    const MemoryImage img = nstoreSizedImage();
+    MemoryImage clone = img.clonePersisted();
+    const Addr word = pmBase + 0x100000 + 5000 * lineBytes;
+
+    // One view written, one page copied: at least a page's bytes and
+    // less than two.
+    std::uint64_t before = heapBytes.load();
+    clone.writeArch(word, 7);
+    std::uint64_t copied = heapBytes.load() - before;
+    EXPECT_GE(copied, sizeof(WordStore::Page));
+    EXPECT_LT(copied, 2 * sizeof(WordStore::Page));
+
+    // The page is private now: writing it again allocates nothing.
+    before = heapBytes.load();
+    clone.writeArch(word + wordBytes, 8);
+    EXPECT_EQ(heapBytes.load() - before, 0u);
+
+    // A durable write reaches both views: one page each.
+    before = heapBytes.load();
+    clone.writeDurable(word + WordStore::pageBytes, 9);
+    copied = heapBytes.load() - before;
+    EXPECT_GE(copied, 2 * sizeof(WordStore::Page));
+    EXPECT_LT(copied, 3 * sizeof(WordStore::Page));
+
+    EXPECT_EQ(img.readArch(word), 5000u * 8 + 1);
+    EXPECT_EQ(img.readPersisted(word + WordStore::pageBytes),
+              (5000u + WordStore::pageBytes / lineBytes) * 8 + 1);
+}
+
+TEST(WordStoreCow, ChangedLinesSkipSharedPages)
+{
+    MemoryImage a = twoPageImage();
+    MemoryImage b = a;
+    std::vector<Addr> changed;
+    auto collect = [&changed](Addr line) { changed.push_back(line); };
+    b.forEachChangedPersistedLine(a, collect);
+    EXPECT_TRUE(changed.empty());
+
+    // A value change, a new word on an absent page, and an erase are
+    // each reported once, by line; a rewrite to the same value and an
+    // architectural-only write are not.
+    const Addr edge = pmBase + 4 * WordStore::pageBytes;
+    const Addr far = pmBase + 40 * WordStore::pageBytes;
+    b.writeDurable(edge + 8, 1234);
+    b.writeDurable(edge + 16, a.readPersisted(edge + 16));
+    b.writeDurable(far + 3 * lineBytes, 5);
+    b.writeArch(edge - lineBytes, 77);
+    b.undoAdmission(a.recentAdmissions().front());
+    b.forEachChangedPersistedLine(a, collect);
+    std::sort(changed.begin(), changed.end());
+    EXPECT_EQ(changed, (std::vector<Addr>{edge - 2 * lineBytes, edge,
+                                          far + 3 * lineBytes}));
+
+    // The diff is symmetric.
+    std::vector<Addr> reverse;
+    a.forEachChangedPersistedLine(
+        b, [&reverse](Addr line) { reverse.push_back(line); });
+    std::sort(reverse.begin(), reverse.end());
+    EXPECT_EQ(reverse, changed);
 }
 
 } // namespace
