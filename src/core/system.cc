@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "runtime/layout.hh"
+#include "sim/host_heap.hh"
 
 namespace strand
 {
@@ -12,6 +13,7 @@ System::System(const SystemConfig &config)
     : stats::StatGroup("system"), cfg(config)
 {
     fatalIf(cfg.numCores == 0, "system needs at least one core");
+    retainFreedHeap();
 
     cfg.engine.adversary = cfg.adversary;
     cfg.caches.adversary = cfg.adversary;
