@@ -129,6 +129,13 @@ class Hierarchy : public SimObject, public MemResponder
      */
     void prewarmL2(Addr start, Addr end);
 
+    /** @name The L2 tag state alone, so machines seeded alike can
+     * share one prewarmed L2 (System::seedImage). Pages are shared
+     * copy-on-write, under CacheArray's one-thread contract. @{ */
+    CacheArray::State l2State() const { return l2.snapshotState(); }
+    void restoreL2(const CacheArray::State &state) { l2.restoreState(state); }
+    /** @} */
+
     /**
      * Service one mailed request, from its own delivery event:
      *  - Load: Nack if no MSHR is available (requester retries);

@@ -108,6 +108,32 @@ System::seedImage(const std::unordered_map<Addr, std::uint64_t> &words)
 }
 
 void
+System::seedImage(const std::unordered_map<Addr, std::uint64_t> &words,
+                  Seeded &reuse)
+{
+    panicIf(image.archWords() != 0 || image.persistedWords() != 0,
+            "seeding from a shared image needs an unwritten machine");
+    if (reuse.words == &words && reuse.numWords == words.size() &&
+        reuse.warmCaches == cfg.warmCaches &&
+        reuse.heapBase == cfg.layout.heapBase() &&
+        reuse.l2Size == cfg.caches.l2Size &&
+        reuse.l2Ways == cfg.caches.l2Ways) {
+        image = reuse.image;
+        caches->restoreL2(reuse.l2);
+        return;
+    }
+    seedImage(words);
+    reuse.words = &words;
+    reuse.numWords = words.size();
+    reuse.warmCaches = cfg.warmCaches;
+    reuse.heapBase = cfg.layout.heapBase();
+    reuse.l2Size = cfg.caches.l2Size;
+    reuse.l2Ways = cfg.caches.l2Ways;
+    reuse.image = image;
+    reuse.l2 = caches->l2State();
+}
+
+void
 System::loadStreams(std::vector<OpStream> streams)
 {
     fatalIf(streams.size() != cores.size(),

@@ -73,7 +73,8 @@ struct TrialRig
     }
 
     std::unique_ptr<System>
-    buildSystem(const FuzzTrialContext &ctx, DrainAdversary *adv)
+    buildSystem(const FuzzTrialContext &ctx, DrainAdversary *adv,
+                System::Seeded &seeded)
     {
         SystemConfig sysCfg = ctx.spec.experiment.baseSystem;
         sysCfg.numCores = static_cast<unsigned>(streams.size());
@@ -82,7 +83,7 @@ struct TrialRig
         sysCfg.layout = ip.layout;
         sysCfg.adversary = adv;
         auto sys = std::make_unique<System>(sysCfg);
-        sys->seedImage(ctx.recorded.preload);
+        sys->seedImage(ctx.recorded.preload, seeded);
         auto copies = streams;
         sys->loadStreams(std::move(copies));
         return sys;
@@ -127,12 +128,13 @@ struct BranchProbe
  */
 FuzzReplayOutcome
 runWithInjection(const FuzzTrialContext &ctx, DrainAdversary &adv,
-                 unsigned tornWords, BranchProbe *probe = nullptr)
+                 unsigned tornWords, System::Seeded &seeded,
+                 BranchProbe *probe = nullptr)
 {
     FuzzReplayOutcome outcome;
     TrialRig rig(ctx);
 
-    auto sys = rig.buildSystem(ctx, &adv);
+    auto sys = rig.buildSystem(ctx, &adv, seeded);
     RecoveryManager recovery{rig.ip.layout};
     const unsigned programThreads = ctx.recorded.params.numThreads;
     // Consecutive crash images differ in a few lines: re-check only
@@ -390,8 +392,16 @@ FuzzReplayOutcome
 replayDecisions(const FuzzTrialContext &ctx, const DecisionLog &log,
                 unsigned tornWords)
 {
+    System::Seeded seeded;
+    return replayDecisions(ctx, log, tornWords, seeded);
+}
+
+FuzzReplayOutcome
+replayDecisions(const FuzzTrialContext &ctx, const DecisionLog &log,
+                unsigned tornWords, System::Seeded &seeded)
+{
     DrainAdversary adv = DrainAdversary::replaying(log);
-    return runWithInjection(ctx, adv, tornWords);
+    return runWithInjection(ctx, adv, tornWords, seeded);
 }
 
 FuzzTrialResult
@@ -407,6 +417,9 @@ runFuzzTrial(const FuzzTrialContext &ctx)
     FuzzTrialResult result;
     result.workloadSeed = ctx.workloadSeed;
     result.adversarySeed = ctx.adversarySeed;
+    // Every machine of this trial is seeded from ctx's preload map:
+    // the first seeds it, the rest share its image and L2 tags.
+    System::Seeded seeded;
 
     // Torn-word mask for every injection of this trial: half the
     // trials keep admissions whole, the rest tear the final line
@@ -445,7 +458,7 @@ runFuzzTrial(const FuzzTrialContext &ctx)
         // sub-seeds (streams 1..3).
         probe.seedBase = mixSeed(ctx.adversarySeed, 0x5eed);
         FuzzReplayOutcome fast =
-            runWithInjection(ctx, adv, result.tornWords, &probe);
+            runWithInjection(ctx, adv, result.tornWords, seeded, &probe);
         result.decisions = adv.log();
         result.queries = adv.queriesSeen();
         result.hostEvents += fast.hostEvents + probe.hostEvents;
@@ -461,7 +474,7 @@ runFuzzTrial(const FuzzTrialContext &ctx)
             // deterministic and is reported as its own failure
             // class.
             FuzzReplayOutcome confirm = replayDecisions(
-                ctx, probe.failingLog, result.tornWords);
+                ctx, probe.failingLog, result.tornWords, seeded);
             result.decisions = probe.failingLog;
             result.queries = probe.failingQueries;
             result.failingBranch = probe.failingBranch;
@@ -496,7 +509,7 @@ runFuzzTrial(const FuzzTrialContext &ctx)
         // do. The divergence check below compares against the fast
         // run's trace.
         FuzzReplayOutcome outcome = replayDecisions(
-            ctx, result.decisions, result.tornWords);
+            ctx, result.decisions, result.tornWords, seeded);
         result.failed = outcome.failed;
         result.checkDiverged = outcome.checkDiverged;
         result.violation = outcome.violation;
@@ -525,7 +538,7 @@ runFuzzTrial(const FuzzTrialContext &ctx)
         ap.seed = ctx.adversarySeed;
         DrainAdversary adv = DrainAdversary::recording(ap);
         TrialRig rig(ctx);
-        auto sys = rig.buildSystem(ctx, &adv);
+        auto sys = rig.buildSystem(ctx, &adv, seeded);
         TraceHasher hasher;
         sys->addObserver(&hasher);
         sys->run();
@@ -538,7 +551,7 @@ runFuzzTrial(const FuzzTrialContext &ctx)
     }
 
     FuzzReplayOutcome outcome =
-        replayDecisions(ctx, result.decisions, result.tornWords);
+        replayDecisions(ctx, result.decisions, result.tornWords, seeded);
     result.failed = outcome.failed;
     result.checkDiverged = outcome.checkDiverged;
     result.violation = outcome.violation;

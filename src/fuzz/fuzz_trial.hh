@@ -36,6 +36,7 @@
 #include <string>
 
 #include "core/experiment.hh"
+#include "core/system.hh"
 #include "crash/media_faults.hh"
 #include "fuzz/adversary.hh"
 
@@ -186,6 +187,16 @@ FuzzTrialContext makeTrialContext(const FuzzTrialSpec &spec);
 FuzzReplayOutcome replayDecisions(const FuzzTrialContext &ctx,
                                   const DecisionLog &log,
                                   unsigned tornWords);
+
+/**
+ * replayDecisions() starting from @p seeded, the machine state a
+ * previous run on the same @p ctx left there (System::Seeded); the
+ * outcome is the same. Replays of one context should share one.
+ */
+FuzzReplayOutcome replayDecisions(const FuzzTrialContext &ctx,
+                                  const DecisionLog &log,
+                                  unsigned tornWords,
+                                  System::Seeded &seeded);
 
 /**
  * Run one complete trial (record, then replay with injection) on a

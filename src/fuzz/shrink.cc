@@ -92,10 +92,12 @@ ShrinkResult
 shrinkDecisions(const FuzzTrialContext &ctx, const DecisionLog &log,
                 unsigned tornWords, unsigned maxReplays)
 {
+    System::Seeded seeded;
     return shrinkLog(
         log,
-        [&ctx, tornWords](const DecisionLog &candidate) {
-            return replayDecisions(ctx, candidate, tornWords).failed;
+        [&ctx, tornWords, &seeded](const DecisionLog &candidate) {
+            return replayDecisions(ctx, candidate, tornWords, seeded)
+                .failed;
         },
         maxReplays);
 }

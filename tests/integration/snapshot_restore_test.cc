@@ -13,7 +13,9 @@
  * A second System without the capture observer runs alongside to show
  * the capture machinery itself does not perturb the schedule. The
  * capture shares memory-image pages with the live machine; one test
- * checks that later traffic never writes through to it.
+ * checks that later traffic never writes through to it. Machines
+ * seeded from a shared System::Seeded state share pages the same way
+ * and must run like freshly seeded ones.
  */
 
 #include <gtest/gtest.h>
@@ -54,15 +56,19 @@ struct Rig
         streams = instr.lower(recorded.trace);
     }
 
+    /** A machine seeded plainly, or through @p seeded if given. */
     std::unique_ptr<System>
-    buildSystem()
+    buildSystem(System::Seeded *seeded = nullptr)
     {
         SystemConfig cfg;
         cfg.numCores = static_cast<unsigned>(streams.size());
         cfg.design = ip.design;
         cfg.layout = ip.layout;
         auto sys = std::make_unique<System>(cfg);
-        sys->seedImage(recorded.preload);
+        if (seeded)
+            sys->seedImage(recorded.preload, *seeded);
+        else
+            sys->seedImage(recorded.preload);
         auto copies = streams;
         sys->loadStreams(std::move(copies));
         return sys;
@@ -288,6 +294,47 @@ TEST(SnapshotRestoreImage, CapturedImageStaysIsolatedFromLaterTraffic)
     EXPECT_EQ(imageWords(captured), atCapture)
         << "traffic after a restore wrote through to the capture";
     EXPECT_EQ(captured.archWords(), archAtCapture);
+}
+
+TEST_P(SnapshotRestore, MachinesSeededFromSharedStateRunLikeFreshOnes)
+{
+    // Machines seeded through one System::Seeded start from the first
+    // machine's image and L2 tag pages, copy-on-write. Each must run
+    // exactly like a freshly seeded machine, and no run may write
+    // through to the shared state.
+    Rig rig(GetParam(), PersistencyModel::Sfr);
+    std::map<Addr, std::pair<std::uint64_t, std::uint64_t>> seededWords;
+    auto runOne = [&](System::Seeded *seeded) {
+        auto sys = rig.buildSystem(seeded);
+        seededWords = imageWords(sys->memory());
+        PmoSanitizer san;
+        sys->addObserver(&san);
+        sys->run();
+        return Fingerprint::of(*sys, san);
+    };
+    const Fingerprint fresh = runOne(nullptr);
+    const auto freshWords = seededWords;
+    ASSERT_FALSE(freshWords.empty());
+
+    System::Seeded seeded;
+    for (const char *label : {"filling", "reusing", "reusing again"}) {
+        runOne(&seeded).expectEqual(fresh, label);
+        EXPECT_EQ(seededWords, freshWords) << label;
+        EXPECT_EQ(seeded.words, &rig.recorded.preload) << label;
+        EXPECT_EQ(imageWords(seeded.image), freshWords)
+            << label << ": a run wrote through to the shared image";
+    }
+
+    // Another map, even with equal contents, seeds afresh.
+    const auto copy = rig.recorded.preload;
+    SystemConfig cfg;
+    cfg.numCores = static_cast<unsigned>(rig.streams.size());
+    cfg.design = rig.ip.design;
+    cfg.layout = rig.ip.layout;
+    System other(cfg);
+    other.seedImage(copy, seeded);
+    EXPECT_EQ(seeded.words, &copy);
+    EXPECT_EQ(imageWords(other.memory()), freshWords);
 }
 
 TEST(SnapshotRestoreRedo, RedoLoweringRoundTrips)
